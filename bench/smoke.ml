@@ -2,7 +2,7 @@
    enough to run on every `dune runtest`, asserting the engine's two
    headline properties — the incremental engine executes at least 3x
    fewer runtime steps than naive replay on depth-8 CAS consensus, and
-   the POR+symmetry reduced engine at least 3x fewer again than the
+   the DPOR+symmetry reduced engine at least 3x fewer again than the
    plain incremental engine on depth-10 register consensus — and
    emitting the JSON rows recorded in BENCH_explore.json. *)
 
@@ -47,7 +47,7 @@ let explore_pair ~impl ~factory ~depth ~max_crashes =
       (digest inc <> digest naive);
   (ratio, equivalent)
 
-(* The reduced engine (POR + symmetry) against the plain incremental
+(* The reduced engine (DPOR + symmetry) against the plain incremental
    engine on the same instance: the reductions must agree on the
    verdict (representative runs, not the full multiset) and cut the
    executed steps by at least [bar]. *)
@@ -58,7 +58,7 @@ let explore_reduced ~impl ~factory ~depth ~max_crashes =
   in
   let red =
     Slx_core.Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth
-      ~max_crashes ~por:true ~symmetry:true ~check ()
+      ~max_crashes ~dpor:true ~symmetry:true ~check ()
   in
   let ratio = float_of_int (steps inc) /. float_of_int (max 1 (steps red)) in
   let st = red.Slx_core.Explore.stats in
@@ -77,10 +77,9 @@ let explore_reduced ~impl ~factory ~depth ~max_crashes =
   (ratio, agree)
 
 (* The dynamic reduction (observed-access DPOR) against the plain
-   incremental engine on the same instance: observed accesses refine
-   declared footprints, so DPOR must prune at least as hard as the
-   declaration-based sleep sets while agreeing on the verdict.  These
-   are the BENCH_explore.json "dpor" step rows. *)
+   incremental engine on the same instance: DPOR must never execute
+   more steps while agreeing on the verdict.  These are the
+   BENCH_explore.json "dpor" step rows. *)
 let explore_dpor ~impl ~factory ~depth ~max_crashes =
   let inc =
     Slx_core.Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth
@@ -237,10 +236,10 @@ let live_dpor_smoke () =
       node_ratio step_ratio;
   (ok, node_ratio, step_ratio)
 
-(* Observability smoke: one traced fair-cycle search and one traced
-   2-domain exploration, exported to Chrome trace-event JSON, re-parsed
-   with the validator, and reconciled event-by-event against the stats
-   of the run that produced them — plus the tracing-overhead row of
+(* Observability smoke: one traced fair-cycle search, exported to
+   Chrome trace-event JSON, re-parsed with the validator, and
+   reconciled event-by-event against the stats of the run that
+   produced it — plus the tracing-overhead row of
    BENCH_explore.json (the disabled sink must stay within noise; the
    ring sink within a few percent).  The trace of the live case is kept
    at [$SLX_SMOKE_TRACE] when that is set, so CI can upload it as an
@@ -316,9 +315,6 @@ let obs_live_smoke () =
              ( "node spans",
                Trace_export.span_count sm "node",
                st.Slx_core.Explore_stats.nodes );
-             ( "cache_hit instants",
-               Trace_export.instant_count sm "cache_hit",
-               st.Slx_core.Explore_stats.cache_hits );
              ( "cycle_candidate instants",
                Trace_export.instant_count sm "cycle_candidate",
                st.Slx_core.Explore_stats.cycles_examined );
@@ -328,40 +324,6 @@ let obs_live_smoke () =
              ("dropped", sm.Trace_export.sm_dropped, 0);
            ]
 
-let obs_parallel_smoke () =
-  let obs = Obs.create ~tracing:true ~ring_capacity:(1 lsl 18) () in
-  let e =
-    Slx_core.Explore.explore ~n:2
-      ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
-      ~invoke:one_proposal ~depth:6 ~max_crashes:0 ~domains:2 ~obs ~check ()
-  in
-  let st = e.Slx_core.Explore.stats in
-  let path = Filename.temp_file "slx_smoke_par" ".trace.json" in
-  Obs.write_trace obs path;
-  let r =
-    match
-      Result.bind (Json.parse_file path) (fun j -> Trace_export.validate j)
-    with
-    | Error msg ->
-        Printf.printf "  SMOKE FAILURE: parallel trace invalid: %s\n" msg;
-        false
-    | Ok sm ->
-        Printf.printf
-          "  {\"case\": \"cas-depth-6-domains-2-traced\", \"lanes\": %d, \
-           \"flow_starts\": %d, \"flow_ends\": %d, \"steals\": %d}\n"
-          sm.Trace_export.sm_lanes sm.Trace_export.sm_flow_starts
-          sm.Trace_export.sm_flow_ends st.Slx_core.Explore_stats.steals;
-        reconcile "parallel trace"
-          [
-            ( "steal flow ends",
-              sm.Trace_export.sm_flow_ends,
-              st.Slx_core.Explore_stats.steals );
-            ("dropped", sm.Trace_export.sm_dropped, 0);
-          ]
-  in
-  Sys.remove path;
-  r
-
 (* The tracing-overhead row: the depth-10 reduced exploration with the
    sink disabled vs a live ring sink, minimum elapsed_ns over a few
    repetitions (the same instance as the reduction row above, so the
@@ -370,7 +332,7 @@ let obs_overhead_smoke () =
   let explore ?obs () =
     Slx_core.Explore.explore ~n:2
       ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-      ~invoke:one_proposal ~depth:10 ~max_crashes:0 ~por:true ~symmetry:true
+      ~invoke:one_proposal ~depth:10 ~max_crashes:0 ~dpor:true ~symmetry:true
       ?obs ~check ()
   in
   let best f =
@@ -404,9 +366,8 @@ let obs_overhead_smoke () =
 let obs_smoke () =
   Printf.printf "== bench smoke: traced exploration (observability) ==\n";
   let live_ok = obs_live_smoke () in
-  let par_ok = obs_parallel_smoke () in
   let ovh_ok = obs_overhead_smoke () in
-  live_ok && par_ok && ovh_ok
+  live_ok && ovh_ok
 
 (* The sanitizer-overhead row: the same depth-10 reduced instance with
    the counting shadow off vs on.  Sanitizing must change no decision
@@ -421,7 +382,7 @@ let sanitize_overhead_smoke () =
   let explore ~sanitize () =
     Slx_core.Explore.explore ~n:2
       ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-      ~invoke:one_proposal ~depth:10 ~max_crashes:0 ~por:true ~symmetry:true
+      ~invoke:one_proposal ~depth:10 ~max_crashes:0 ~dpor:true ~symmetry:true
       ~sanitize ~check ()
   in
   let best f =
@@ -564,70 +525,36 @@ let micro_smoke () =
       fp_ratio commute_ratio;
   (ok, fp_ratio, commute_ratio)
 
-(* Compact-encoding identity + the bitstate row: the hash-consed keys
-   must reproduce the structural keys' exploration exactly (same runs,
-   digest, cache hits — byte-identical counters, not just verdicts),
-   and bitstate mode must report its honest collision bound in the
-   stats it emits. *)
-let compact_smoke () =
-  Printf.printf
-    "== bench smoke: compact keys vs structural keys (+ bitstate) ==\n";
-  let explore ~compact ?bitstate () =
+(* Transposition-cache identity: the cached engine must reproduce the
+   uncached one's exploration exactly (same runs, digest and verdict —
+   the cache is an accelerator, never an approximation) on the
+   depth-10 register instance with a crash branch and DPOR on. *)
+let cache_smoke () =
+  Printf.printf "== bench smoke: cached vs uncached exploration ==\n";
+  let explore ~cache () =
     Slx_core.Explore.explore ~n:2
       ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-      ~invoke:one_proposal ~depth:10 ~max_crashes:1 ~dpor:true ~compact
-      ?bitstate ~check ()
+      ~invoke:one_proposal ~depth:10 ~max_crashes:1 ~dpor:true ~cache ~check
+      ()
   in
-  let best f =
-    let ns = ref max_int and last = ref None in
-    for _ = 1 to 3 do
-      let e = f () in
-      ns := min !ns e.Slx_core.Explore.stats.Slx_core.Explore_stats.elapsed_ns;
-      last := Some e
-    done;
-    (!ns, Option.get !last)
-  in
-  let structural_ns, s = best (fun () -> explore ~compact:false ()) in
-  let compact_ns, c = best (fun () -> explore ~compact:true ()) in
-  let hits e = e.Slx_core.Explore.stats.Slx_core.Explore_stats.cache_hits in
+  let off = explore ~cache:false () in
+  let on_ = explore ~cache:true () in
+  let hits = on_.Slx_core.Explore.stats.Slx_core.Explore_stats.cache_hits in
   let identical =
-    runs s = runs c && digest s = digest c && hits s = hits c
-    && steps s = steps c && safe s = safe c
+    runs off = runs on_ && digest off = digest on_ && safe off = safe on_
   in
   Printf.printf
-    "  {\"case\": \"register-depth-10-crashes-1-dpor-compact-keys\", \
-     \"structural_ns\": %d, \"compact_ns\": %d, \"ratio\": %.2f, \
-     \"runs\": %d, \"cache_hits\": %d, \"identical\": %b}\n"
-    structural_ns compact_ns
-    (float_of_int structural_ns /. float_of_int (max 1 compact_ns))
-    (runs c) (hits c) identical;
+    "  {\"case\": \"register-depth-10-crashes-1-dpor-cache-identity\", \
+     \"uncached_steps\": %d, \"cached_steps\": %d, \"runs\": %d, \
+     \"cache_hits\": %d, \"identical\": %b}\n"
+    (steps off) (steps on_) (runs on_) hits identical;
   if not identical then
     Printf.printf
-      "  SMOKE FAILURE: compact keys changed the exploration (runs %d vs %d, \
-       hits %d vs %d, digest mismatch=%b)\n"
-      (runs s) (runs c) (hits s) (hits c)
-      (digest s <> digest c);
-  let _, b = best (fun () -> explore ~compact:true ~bitstate:16 ()) in
-  let bst = b.Slx_core.Explore.stats in
-  let prob = Slx_core.Explore_stats.bitstate_collision_probability bst in
-  Printf.printf
-    "  {\"case\": \"register-depth-10-crashes-1-dpor-bitstate-16\", \
-     \"bitstate_bits\": %d, \"bitstate_adds\": %d, \"bitstate_hits\": %d, \
-     \"bitstate_marks\": %d, \"collision_probability\": %g, \
-     \"runs_checked\": %d, \"safe\": %b}\n"
-    bst.Slx_core.Explore_stats.bitstate_bits
-    bst.Slx_core.Explore_stats.bitstate_adds
-    bst.Slx_core.Explore_stats.bitstate_hits
-    bst.Slx_core.Explore_stats.bitstate_marks prob
-    bst.Slx_core.Explore_stats.runs_checked (safe b);
-  let bitstate_ok =
-    safe b && bst.Slx_core.Explore_stats.bitstate_bits = 16
-    && bst.Slx_core.Explore_stats.bitstate_adds > 0
-    && prob > 0.0
-  in
-  if not bitstate_ok then
-    Printf.printf "  SMOKE FAILURE: bitstate row missing or dishonest\n";
-  identical && bitstate_ok
+      "  SMOKE FAILURE: the cache changed the exploration (runs %d vs %d, \
+       digest mismatch=%b)\n"
+      (runs off) (runs on_)
+      (digest off <> digest on_);
+  identical
 
 (* The persistent-store resume row: the depth-8 register exploration
    committed cold to a scratch store, then the same query deepened to
@@ -709,7 +636,7 @@ let run () =
       ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
       ~depth:8 ~max_crashes:1
   in
-  Printf.printf "== bench smoke: POR+symmetry vs plain incremental ==\n";
+  Printf.printf "== bench smoke: DPOR+symmetry vs plain incremental ==\n";
   let red_ratio, red_eq =
     explore_reduced ~impl:"register"
       ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
@@ -743,19 +670,19 @@ let run () =
   let obs_ok = obs_smoke () in
   let san_ok = sanitize_overhead_smoke () in
   let micro_ok, fp_ratio, commute_ratio = micro_smoke () in
-  let compact_ok = compact_smoke () in
+  let cache_ok = cache_smoke () in
   let store_ok, store_pct = store_resume_smoke () in
   let ok =
     cas_ratio >= 3.0 && crash_ratio >= 3.0 && red_ratio >= 3.0 && cas_eq
     && crash_eq && red_eq && dpor_ok && live_ok && live_dpor_ok && obs_ok
-    && san_ok && micro_ok && compact_ok && store_ok
+    && san_ok && micro_ok && cache_ok && store_ok
   in
   Printf.printf
     "smoke %s: depth-8 incremental ratios %.2fx / %.2fx, depth-10 reduction \
      ratio %.2fx (bar: 3x each), dpor %s, live split %s, live dpor %.2fx \
      nodes / %.2fx steps (bar: 3x each), traces %s, sanitizer %s (bar: \
      <=15%%), micro fingerprint %.2fx / commute %.2fx (bar: 2x each), \
-     compact keys %s, store resume %.1f%% of cold (bar: <50%%)\n"
+     cache %s, store resume %.1f%% of cold (bar: <50%%)\n"
     (if ok then "OK" else "FAILED")
     cas_ratio crash_ratio red_ratio
     (if dpor_ok then "sound" else "BROKEN")
@@ -764,6 +691,6 @@ let run () =
     (if obs_ok then "reconciled" else "BROKEN")
     (if san_ok then "transparent" else "BROKEN")
     fp_ratio commute_ratio
-    (if compact_ok then "identical" else "BROKEN")
+    (if cache_ok then "identical" else "BROKEN")
     store_pct;
   ok

@@ -399,34 +399,23 @@ let explore_cmd =
   let crashes_arg =
     Arg.(value & opt int 0 & info [ "crashes" ] ~doc:"Max crash branches.")
   in
-  let domains_arg =
-    let doc =
-      "Fan top-level branches across this many domains (0 = one per core)."
-    in
-    Arg.(value & opt int 1 & info [ "domains"; "j" ] ~doc)
-  in
   let no_cache_arg =
     Arg.(value & flag
          & info [ "no-cache" ] ~doc:"Disable the transposition cache.")
   in
   let cache_capacity_arg =
     let doc =
-      "Bound the transposition cache to this many entries per domain \
-       (clock eviction); unbounded by default."
+      "Bound the transposition cache to this many entries (clock \
+       eviction); unbounded by default."
     in
     Arg.(value & opt (some int) None & info [ "cache-capacity" ] ~doc)
-  in
-  let no_por_arg =
-    Arg.(value & flag
-         & info [ "no-por" ]
-             ~doc:"Disable declared-footprint sleep-set partial-order \
-                   reduction (DPOR, if enabled, still reduces).")
   in
   let no_dpor_arg =
     Arg.(value & flag
          & info [ "no-dpor" ]
              ~doc:"Disable dynamic partial-order reduction (source-set \
-                   sleep sets woken by observed-access race reversals).")
+                   sleep sets woken by observed-access race reversals); \
+                   no sleep sets are kept without it.")
   in
   let no_symmetry_arg =
     Arg.(value & flag
@@ -438,38 +427,14 @@ let explore_cmd =
          & info [ "json" ]
              ~doc:"Emit the verdict and full statistics as one JSON object.")
   in
-  let naive_arg =
-    Arg.(value & flag
-         & info [ "naive" ]
-             ~doc:"Use the replay-from-scratch reference engine.")
-  in
   let sanitize_arg =
     Arg.(value & flag
          & info [ "sanitize" ]
              ~doc:"Arm the footprint sanitizer (counting mode): report \
                    violations in the stats without changing the verdict.")
   in
-  let no_compact_arg =
-    Arg.(value & flag
-         & info [ "no-compact" ]
-             ~doc:"Key the transposition cache on structural fingerprints \
-                   instead of hash-consed compact encodings (slower; \
-                   verdict-identical).")
-  in
-  let bitstate_arg =
-    let doc =
-      "Replace the exact transposition cache with SPIN-style hash \
-       compaction: a 2^$(docv)-bit table of fingerprint hashes (4-30). \
-       Bounded memory, but hits may be hash collisions, so a clean \
-       verdict is no longer exhaustive; the reported \
-       bitstate_collision_probability quantifies the risk."
-    in
-    Arg.(value & opt (some int) None
-         & info [ "bitstate" ] ~doc ~docv:"BITS")
-  in
-  let run impl depth max_crashes domains no_cache cache_capacity no_por
-      no_dpor no_symmetry json naive sanitize no_compact bitstate store trace
-      progress progress_json =
+  let run impl depth max_crashes no_cache cache_capacity no_dpor no_symmetry
+      json sanitize store trace progress progress_json =
     let open Slx_consensus in
     let factory =
       match impl with
@@ -490,53 +455,29 @@ let explore_cmd =
         in
         let check r = Consensus_safety.check r.Slx_sim.Run_report.history in
         let obs = make_obs ~trace ~progress ~progress_json in
-        if naive && trace <> None then
-          prerr_endline
-            "[slx] note: the naive engine does not trace; the trace will \
-             be empty";
-        if naive && sanitize then
-          prerr_endline
-            "[slx] note: the naive engine does not sanitize; use slx audit";
-        if naive && store <> None then
-          prerr_endline
-            "[slx] note: the naive engine bypasses the store";
         let cancel = install_sigint () in
         let run_engine () =
-          if naive then
-            ( Explore.explore_naive ~n:2 ~factory ~invoke ~depth ~max_crashes
-                ~check (),
-              None )
-          else begin
-            let domains =
-              if domains = 0 then Domain.recommended_domain_count ()
-              else domains
-            in
-            match store with
-            | None ->
-                ( Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes
-                    ~cache:(not no_cache) ?cache_capacity ~por:(not no_por)
-                    ~dpor:(not no_dpor) ~symmetry:(not no_symmetry) ~domains
-                    ~obs ~sanitize ~compact:(not no_compact) ?bitstate ~cancel
-                    ~check (),
-                  None )
-            | Some path ->
-                let st = Vstore.open_ path in
-                let qid =
-                  Persist.query_key ~ident:impl ~check:"consensus-safety"
-                    ~n:2
-                    ~registry_digest:(Persist.instance_digest ~n:2 ~factory)
-                    ~max_crashes ~por:(not no_por) ~dpor:(not no_dpor)
-                    ~symmetry:(not no_symmetry) ()
-                in
-                let e, source =
-                  Persist.run_explore ~store:st ~qid ~n:2 ~factory ~invoke
-                    ~depth ~max_crashes ~cache:(not no_cache) ?cache_capacity
-                    ~por:(not no_por) ~dpor:(not no_dpor)
-                    ~symmetry:(not no_symmetry) ~domains ~obs ~sanitize
-                    ~compact:(not no_compact) ?bitstate ~cancel ~check ()
-                in
-                (e, Some source)
-          end
+          match store with
+          | None ->
+              ( Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes
+                  ~cache:(not no_cache) ?cache_capacity ~dpor:(not no_dpor)
+                  ~symmetry:(not no_symmetry) ~obs ~sanitize ~cancel ~check (),
+                None )
+          | Some path ->
+              let st = Vstore.open_ path in
+              let qid =
+                Persist.query_key ~ident:impl ~check:"consensus-safety" ~n:2
+                  ~registry_digest:(Persist.instance_digest ~n:2 ~factory)
+                  ~max_crashes ~dpor:(not no_dpor) ~symmetry:(not no_symmetry)
+                  ()
+              in
+              let e, source =
+                Persist.run_explore ~store:st ~qid ~n:2 ~factory ~invoke ~depth
+                  ~max_crashes ~cache:(not no_cache) ?cache_capacity
+                  ~dpor:(not no_dpor) ~symmetry:(not no_symmetry) ~obs
+                  ~sanitize ~cancel ~check ()
+              in
+              (e, Some source)
         in
         match run_engine () with
         | exception Explore.Interrupted stats ->
@@ -594,11 +535,10 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:"Exhaustively check consensus safety on every bounded schedule")
     Term.(
-      const run $ impl_arg $ depth_arg $ crashes_arg $ domains_arg
-      $ no_cache_arg $ cache_capacity_arg $ no_por_arg $ no_dpor_arg
-      $ no_symmetry_arg $ json_arg $ naive_arg $ sanitize_arg
-      $ no_compact_arg $ bitstate_arg $ store_arg $ trace_arg
-      $ progress_arg $ progress_json_arg)
+      const run $ impl_arg $ depth_arg $ crashes_arg $ no_cache_arg
+      $ cache_capacity_arg $ no_dpor_arg $ no_symmetry_arg $ json_arg
+      $ sanitize_arg $ store_arg $ trace_arg $ progress_arg
+      $ progress_json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* live-explore                                                        *)
@@ -659,15 +599,6 @@ let live_explore_cmd =
                    process may stay asleep (default 2; larger prunes more \
                    but can miss lassos of shorter period).")
   in
-  let no_cache_arg =
-    Arg.(value & flag
-         & info [ "no-cache" ] ~doc:"Disable the transposition cache.")
-  in
-  let cache_capacity_arg =
-    Arg.(value & opt (some int) None
-         & info [ "cache-capacity" ]
-             ~doc:"Bound the transposition cache (clock eviction).")
-  in
   let sanitize_arg =
     Arg.(value & flag
          & info [ "sanitize" ]
@@ -681,16 +612,8 @@ let live_explore_cmd =
              ~doc:"Emit the verdict, certificate and statistics as one \
                    JSON object.")
   in
-  let no_compact_arg =
-    Arg.(value & flag
-         & info [ "no-compact" ]
-             ~doc:"Key the suffix cache on structural fingerprints instead \
-                   of hash-consed compact encodings (slower; verdict- and \
-                   certificate-identical).")
-  in
   let run impl property n depth max_crashes max_period pump_ticks invoke_order
-      no_dpor proviso_bound no_cache cache_capacity sanitize no_compact json
-      store trace progress progress_json =
+      no_dpor proviso_bound sanitize json store trace progress progress_json =
     let open Slx_consensus in
     let factory =
       match impl with
@@ -736,9 +659,7 @@ let live_explore_cmd =
           | None ->
               ( Live_explore.search ~n ~factory ~invoke ~good ~point ~depth
                   ~max_crashes ?max_period ?pump_ticks ~invoke_order
-                  ~dpor:(not no_dpor) ?proviso_bound ~cache:(not no_cache)
-                  ?cache_capacity ~sanitize ~compact:(not no_compact) ~obs
-                  ~cancel (),
+                  ~dpor:(not no_dpor) ?proviso_bound ~sanitize ~obs ~cancel (),
                 None )
           | Some path ->
               let st = Vstore.open_ path in
@@ -753,9 +674,8 @@ let live_explore_cmd =
               let r, source =
                 Persist.run_live ~store:st ~qid ~n ~factory ~invoke ~good
                   ~point ~depth ~max_crashes ?max_period ?pump_ticks
-                  ~invoke_order ~dpor:(not no_dpor) ?proviso_bound
-                  ~cache:(not no_cache) ?cache_capacity ~obs ~sanitize
-                  ~compact:(not no_compact) ~cancel ()
+                  ~invoke_order ~dpor:(not no_dpor) ?proviso_bound ~obs
+                  ~sanitize ~cancel ()
               in
               (r, Some source)
         in
@@ -834,9 +754,8 @@ let live_explore_cmd =
     Term.(
       const run $ impl_arg $ property_arg $ procs_arg $ depth_arg $ crashes_arg
       $ max_period_arg $ pump_arg $ invoke_order_arg $ no_dpor_arg
-      $ proviso_arg $ no_cache_arg $ cache_capacity_arg $ sanitize_arg
-      $ no_compact_arg $ json_arg $ store_arg $ trace_arg $ progress_arg
-      $ progress_json_arg)
+      $ proviso_arg $ sanitize_arg $ json_arg $ store_arg $ trace_arg
+      $ progress_arg $ progress_json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* stats — replay a saved trace into histograms                        *)
@@ -936,17 +855,14 @@ let stats_cmd =
                   Option.bind (Json.member k a) Json.int)
             in
             Printf.printf "trace: %s\n" path;
-            Printf.printf "  events:        %d on %d lane(s), %d dropped\n"
-              sm.Trace_export.sm_events sm.Trace_export.sm_lanes
-              sm.Trace_export.sm_dropped;
+            Printf.printf "  events:        %d, %d dropped\n"
+              sm.Trace_export.sm_events sm.Trace_export.sm_dropped;
             List.iter
               (fun (n, c) -> Printf.printf "  spans  %-15s %d\n" n c)
               sm.Trace_export.sm_spans;
             List.iter
               (fun (n, c) -> Printf.printf "  events %-15s %d\n" n c)
               sm.Trace_export.sm_instants;
-            Printf.printf "  steal flows:   %d published, %d stolen\n"
-              sm.Trace_export.sm_flow_starts sm.Trace_export.sm_flow_ends;
             (* Cache-hit depth distribution: at which depths does the
                transposition cache actually cut subtrees? *)
             let hist = Hashtbl.create 16 in
@@ -1003,22 +919,6 @@ let stats_cmd =
                   Printf.printf "    %-15s %-7s %d\n" name arg w)
                 reductions
             end;
-            (* Steal latency: publication ("s") to theft ("f") per flow
-               id, in microseconds. *)
-            let pushed = Hashtbl.create 16 in
-            let latencies = ref [] in
-            List.iter
-              (fun e ->
-                match (str_field e "ph", int_field e "id", num_field e "ts")
-                with
-                | Some "s", Some id, Some ts -> Hashtbl.replace pushed id ts
-                | Some "f", Some id, Some ts -> begin
-                    match Hashtbl.find_opt pushed id with
-                    | Some t0 -> latencies := (ts -. t0) :: !latencies
-                    | None -> ()
-                  end
-                | _ -> ())
-              events;
             let describe label = function
               | [] -> ()
               | xs ->
@@ -1031,7 +931,6 @@ let stats_cmd =
                      %.1f us\n"
                     label n mn (total /. float_of_int n) mx
             in
-            describe "steal latency" !latencies;
             (* Pump-validation cost: B/E "pump" span durations per
                lane, tagged with the verdict carried on the close. *)
             let open_pumps = Hashtbl.create 8 in

@@ -12,13 +12,10 @@
     bookkeeping at all).
 
     Keys are hashed polymorphically, so their shape is the dominant
-    per-lookup cost: the explorers key this cache by hash-consed
-    {!Intern} ids (small-int tuples) when compact encodings are on,
-    and fall back to structural fingerprints under [--no-compact] —
-    both hash to the same buckets consistently, but only the former is
-    O(1) per probe regardless of history depth.
+    per-lookup cost: the explorer keys this cache by hash-consed
+    {!Intern} ids, so a probe is O(1) regardless of history depth.
 
-    Not thread-safe; the explorer gives each domain its own cache. *)
+    Not thread-safe. *)
 
 type ('k, 'v) t
 

@@ -166,37 +166,10 @@ let decision_menu ~n ~invoke ~depth ~max_crashes ~symmetry view len crashes =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain state.                                                   *)
+(* Engine state.                                                       *)
 
-(* Transposition keys pair the configuration fingerprint with the POR
-   sleep set: the same configuration reached with different sleep sets
-   explores different reduced subtrees, so they must not share an
-   entry.  With POR off the sleep set is always [] and keys degenerate
-   to plain fingerprints.
-
-   Two representations, verdict-identical (the differential suite in
-   test/test_compact.ml checks runs, digests and witnesses agree):
-
-   - [K_struct]: the structural form — deep fingerprint record plus
-     sleep list, hashed and compared structurally on every lookup.
-   - [K_compact]: the hash-consed form (the default) — the cursor's
-     [compact_key] int array (incrementally interned history id,
-     digests, packed per-process state) with the sleep set appended as
-     a bitset, interned into a dense id ({!Intern.Ints}), so cache
-     lookups hash one immediate int instead of a deep term.  Equality
-     of compact keys coincides with equality of structural keys up to
-     the digest collisions the structural form already accepts
-     (interning is injective; QCheck-tested). *)
-type ('inv, 'res) key =
-  | K_struct of {
-      k_fp : ('inv, 'res) Runner.fingerprint;
-      k_sleep : Proc.t list;
-    }
-  | K_compact of int
-
-(* Sleep sets as bitsets for the compact key: sound only when every
-   process id fits a word, which the engine checks before electing
-   compact mode ([n < 62]). *)
+(* Sleep sets as one-word bitsets, the form the transposition key and
+   the frontier seeds carry — hence the engine's [n < 62] bound. *)
 let sleep_bits sleep = List.fold_left (fun acc p -> acc lor (1 lsl p)) 0 sleep
 
 (* Inverse of [sleep_bits], ascending — the order the engine's
@@ -208,23 +181,14 @@ let procs_of_bits bits =
   in
   go 61 []
 
-(* A counterexample as first found: decision-tree rank (root-first
-   child indices in the reduced menus — the tie-breaker that makes the
-   parallel engine deterministic), decision script, failing report. *)
-type ('inv, 'res) witness =
-  int list * ('inv, 'res) Driver.decision list * ('inv, 'res) Run_report.t
-
-(* Per-engine (and, under fan-out, per-domain) mutable exploration
-   state.  Domains share nothing mutable except the work queue and the
-   witness slot: each has its own cursors, transposition table,
-   telemetry ring and counters, which keeps the engine deterministic
-   and lock-free.  [index] is the spawn index (0 = the calling
-   domain); it keys the per-domain stats rows and the trace lanes.
-   [sample] is installed once all sibling states exist — only the
-   index-0 state ticks the progress reporter, reading sibling counters
-   racily (they are immediates, so a stale read is the worst case). *)
-type ('inv, 'res) dstate = {
-  index : int;
+(* Mutable exploration state.  Transposition keys are hash-consed: the
+   cursor's [compact_key] array (incrementally interned history id,
+   digests, packed per-process state) with the sleep set appended as a
+   bitset, interned into a dense id ({!Intern.Ints}), so a cache lookup
+   hashes one immediate int instead of a deep term.  The sleep set is
+   part of the key because the same configuration reached with
+   different sleep sets explores different reduced subtrees. *)
+type ('inv, 'res) state = {
   sink : Telemetry.sink;
   progress : Progress.t;
   mutable sample : unit -> Progress.sample;
@@ -237,9 +201,10 @@ type ('inv, 'res) dstate = {
   mutable sleeps : int;
   mutable reversals : int;
   mutable sym_pruned : int;
-  mutable steals : int;
   mutable digest : int;
-  mutable found : ('inv, 'res) witness option;
+  mutable found :
+    (('inv, 'res) Driver.decision list * ('inv, 'res) Run_report.t) option;
+      (* The first failing maximal run: its decision script and report. *)
   mutable fr_cuts : int;
       (* Persist mode: cut leaves seen — maximal runs at the depth
          bound whose menu would be nonempty at a greater depth.  Each
@@ -249,31 +214,25 @@ type ('inv, 'res) dstate = {
   mutable fr_cut_digest : int;
   mutable fr_rev_seeds : frontier_seed list;
   ticks : int ref;
-  table : (('inv, 'res) key, entry) Clock_cache.t;
+  table : (int, entry) Clock_cache.t;
   shadow : Runtime.shadow option;
-      (* Sanitizer shadow shared by all this domain's cursors:
-         non-raising, non-recording — it only counts violations, so a
-         sanitized exploration takes exactly the decisions an
-         unsanitized one does. *)
+      (* Sanitizer shadow shared by all cursors: non-raising,
+         non-recording — it only counts violations, so a sanitized
+         exploration takes exactly the decisions an unsanitized one
+         does. *)
   probe : Runtime.probe option;
-      (* DPOR observed-access probe, likewise shared by the domain's
-         cursors: records what each executed step physically touched,
-         from which the dynamic sleep-set filter computes race
-         reversals.  Recording only — decisions are unchanged. *)
+      (* DPOR observed-access probe, likewise shared by all cursors:
+         records what each executed step physically touched, from
+         which the dynamic sleep-set filter computes race reversals.
+         Recording only — decisions are unchanged. *)
   encode : (int -> ('inv, 'res) Event.t -> int) option;
-      (* Compact-key mode: the hash-consing hook every cursor of this
-         domain is created with.  It interns each appended event, then
-         the (previous history id, event id) pair, so the cursor's
-         [hist_id] stands in for its whole history — per-domain pools,
-         like the cache, so domains stay share-nothing. *)
+      (* With the cache on: the hash-consing hook every cursor is
+         created with.  It interns each appended event, then the
+         (previous history id, event id) pair, so the cursor's
+         [hist_id] stands in for its whole history. *)
   keys : Intern.Ints.t;
-      (* Compact-key pool: interns the flat [compact_key] arrays into
-         the dense ids the transposition cache is keyed on. *)
-  bitstate : Bitstate.t option;
-      (* Hash-compaction mode: replaces the exact transposition cache
-         with a 2^bits-bit table of fingerprint hashes.  One-sided —
-         a hit may be a collision, so the mode trades exhaustiveness
-         for bounded memory and reports its own collision bound. *)
+      (* Interns the flat [compact_key] arrays into the dense ids the
+         transposition cache is keyed on. *)
 }
 
 and entry = { e_runs : int; e_digest : int }
@@ -283,17 +242,15 @@ let zero_sample =
     Progress.s_nodes = 0;
     s_runs = 0;
     s_steps = 0;
-    s_frontier = 0;
     s_cache_entries = 0;
     s_cache_capacity = 0;
     s_cycles = 0;
-    s_domain_steps = [];
   }
 
-let new_state ~index ?capacity ~sink ?(progress = Progress.off)
-    ?(sanitize = false) ?(dpor = false) ?(compact = false) ?bitstate () =
+let new_state ?capacity ~sink ?(progress = Progress.off) ?(sanitize = false)
+    ?(dpor = false) ?(cache = false) () =
   let encode =
-    if not compact then None
+    if not cache then None
     else begin
       let events = Intern.create () in
       let conses = Intern.create () in
@@ -303,7 +260,6 @@ let new_state ~index ?capacity ~sink ?(progress = Progress.off)
     end
   in
   {
-    index;
     sink;
     progress;
     sample = (fun () -> zero_sample);
@@ -316,7 +272,6 @@ let new_state ~index ?capacity ~sink ?(progress = Progress.off)
     sleeps = 0;
     reversals = 0;
     sym_pruned = 0;
-    steals = 0;
     digest = 0;
     found = None;
     fr_cuts = 0;
@@ -331,198 +286,61 @@ let new_state ~index ?capacity ~sink ?(progress = Progress.off)
     probe = (if dpor then Some (Runtime.make_probe ()) else None);
     encode;
     keys = Intern.Ints.create ();
-    bitstate = Option.map (fun bits -> Bitstate.create ~bits) bitstate;
   }
 
-let stats_of_states ~domains_used ~elapsed_ns ~events_dropped states :
-    Explore_stats.t =
-  let per_domain f =
-    if domains_used > 1 then List.map (fun st -> (st.index, f st)) states
-    else []
-  in
-  List.fold_left
-    (fun (acc : Explore_stats.t) st ->
-      {
-        acc with
-        Explore_stats.nodes = acc.Explore_stats.nodes + st.nodes;
-        runs = acc.runs + st.runs;
-        runs_checked = acc.runs_checked + st.checked;
-        steps_executed = acc.steps_executed + !(st.ticks);
-        steps_replayed = acc.steps_replayed + st.replayed;
-        replays_avoided = acc.replays_avoided + st.avoided;
-        cache_hits = acc.cache_hits + st.hits;
-        cache_entries = acc.cache_entries + Clock_cache.length st.table;
-        cache_evictions = acc.cache_evictions + Clock_cache.evictions st.table;
-        por_prunes = acc.por_prunes + st.sleeps;
-        race_reversals = acc.race_reversals + st.reversals;
-        symmetry_pruned = acc.symmetry_pruned + st.sym_pruned;
-        steals = acc.steals + st.steals;
-        footprint_violations =
-          (acc.Explore_stats.footprint_violations
-          +
-          match st.shadow with
-          | Some sh -> Runtime.shadow_violation_count sh
-          | None -> 0);
-        bitstate_bits =
-          (match st.bitstate with
-          | Some bs -> max acc.Explore_stats.bitstate_bits (Bitstate.bits bs)
-          | None -> acc.Explore_stats.bitstate_bits);
-        bitstate_adds =
-          (acc.Explore_stats.bitstate_adds
-          + match st.bitstate with Some bs -> Bitstate.adds bs | None -> 0);
-        bitstate_hits =
-          (acc.Explore_stats.bitstate_hits
-          + match st.bitstate with Some bs -> Bitstate.hits bs | None -> 0);
-        bitstate_marks =
-          (acc.Explore_stats.bitstate_marks
-          + match st.bitstate with Some bs -> Bitstate.marks bs | None -> 0);
-        history_digest = acc.history_digest + st.digest;
-      })
-    {
-      Explore_stats.zero with
-      domains_used;
-      elapsed_ns;
-      events_dropped;
-      per_domain_runs = per_domain (fun st -> st.runs);
-      per_domain_steps = per_domain (fun st -> !(st.ticks));
-    }
-    states
+let stats_of_state ~elapsed_ns ~events_dropped st : Explore_stats.t =
+  {
+    Explore_stats.zero with
+    Explore_stats.nodes = st.nodes;
+    runs = st.runs;
+    runs_checked = st.checked;
+    steps_executed = !(st.ticks);
+    steps_replayed = st.replayed;
+    replays_avoided = st.avoided;
+    cache_hits = st.hits;
+    cache_entries = Clock_cache.length st.table;
+    cache_evictions = Clock_cache.evictions st.table;
+    por_prunes = st.sleeps;
+    race_reversals = st.reversals;
+    symmetry_pruned = st.sym_pruned;
+    footprint_violations =
+      (match st.shadow with
+      | Some sh -> Runtime.shadow_violation_count sh
+      | None -> 0);
+    elapsed_ns;
+    events_dropped;
+    history_digest = st.digest;
+  }
 
-(* Install the progress sample on the index-0 state: totals over all
-   sibling states (racy reads of immediates), the frontier count, and
-   the per-domain step split. *)
-let wire_progress obs states frontier =
-  let progress = Obs.progress obs in
-  if Progress.enabled progress then begin
-    let cap_total =
-      Array.fold_left
-        (fun acc st ->
-          match Clock_cache.capacity st.table with
-          | None -> acc
-          | Some c -> acc + c)
-        0 states
-    in
-    let sample () =
-      let nodes = ref 0
-      and runs = ref 0
-      and steps = ref 0
-      and entries = ref 0 in
-      Array.iter
-        (fun st ->
-          nodes := !nodes + st.nodes;
-          runs := !runs + st.runs;
-          steps := !steps + !(st.ticks);
-          entries := !entries + Clock_cache.length st.table)
-        states;
-      {
-        Progress.s_nodes = !nodes;
-        s_runs = !runs;
-        s_steps = !steps;
-        s_frontier = frontier ();
-        s_cache_entries = !entries;
-        s_cache_capacity = cap_total;
-        s_cycles = 0;
-        s_domain_steps =
-          (if Array.length states > 1 then
-             Array.to_list (Array.map (fun st -> !(st.ticks)) states)
-           else []);
-      }
-    in
-    states.(0).sample <- sample
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Work-stealing fan-out.                                              *)
-
-(* A frontier item: a configuration (as the decision prefix that
-   reaches it — cursors hold one-shot continuations and cannot
-   migrate, so thieves replay) plus the POR sleep set and the tree
-   rank it carries.  [it_id] is the publication serial (the flow id of
-   the trace's steal arrows); [it_owner] the publisher's spawn
-   index. *)
-type ('inv, 'res) item = {
-  it_id : int;
-  it_owner : int;
-  it_script : ('inv, 'res) Driver.decision list;  (* reversed *)
-  it_len : int;
-  it_crashes : int;
-  it_sleep : Proc.t list;
-  it_rank : int list;  (* root-first *)
-}
-
-(* Shared state of a fan-out: a lock-free Treiber stack of frontier
-   items (LIFO keeps thieves near the leaves their victim just left,
-   so stolen replays are short), the count of queued-or-running items
-   for termination detection, the publication serial counter, and the
-   least-rank witness slot. *)
-type ('inv, 'res) shared = {
-  queue : ('inv, 'res) item list Atomic.t;
-  outstanding : int Atomic.t;
-  spawn_bound : int;
-  next_item : int Atomic.t;
-  best : ('inv, 'res) witness option Atomic.t;
-}
-
-let push shared it =
-  Atomic.incr shared.outstanding;
-  let rec go () =
-    let cur = Atomic.get shared.queue in
-    if not (Atomic.compare_and_set shared.queue cur (it :: cur)) then go ()
-  in
-  go ()
-
-let pop shared =
-  let rec go () =
-    match Atomic.get shared.queue with
-    | [] -> None
-    | (it :: rest) as cur ->
-        if Atomic.compare_and_set shared.queue cur rest then Some it else go ()
-  in
-  go ()
-
-(* Ranks are compared lexicographically; [compare] on int lists is
-   exactly that (a proper prefix is smaller). *)
-let record_witness shared ((rank, _, _) as w) =
-  let rec go () =
-    let cur = Atomic.get shared.best in
-    match cur with
-    | Some (r, _, _) when compare r rank <= 0 -> ()
-    | _ -> if not (Atomic.compare_and_set shared.best cur (Some w)) then go ()
-  in
-  go ()
+(* Install the progress sample: a plain read of the state's counters. *)
+let wire_progress st =
+  if Progress.enabled st.progress then
+    st.sample <-
+      (fun () ->
+        {
+          Progress.s_nodes = st.nodes;
+          s_runs = st.runs;
+          s_steps = !(st.ticks);
+          s_cache_entries = Clock_cache.length st.table;
+          s_cache_capacity =
+            Option.value ~default:0 (Clock_cache.capacity st.table);
+          s_cycles = 0;
+        })
 
 (* ------------------------------------------------------------------ *)
 (* The incremental reduced engine.                                     *)
 
 let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
-    ?cache_capacity ?(por = false) ?(dpor = false) ?(symmetry = false)
-    ?(domains = 1) ?(obs = Obs.disabled) ?(sanitize = false) ?(compact = true)
-    ?bitstate ?(persist = false) ?resume ?cancel ~check () =
+    ?cache_capacity ?(dpor = false) ?(symmetry = false) ?(obs = Obs.disabled)
+    ?(sanitize = false) ?(persist = false) ?resume ?cancel ~check () =
+  if n >= 62 then
+    invalid_arg "Explore.explore: n >= 62 (sleep sets are one-word bitsets)";
+  (match resume with
+  | Some f when f.fr_depth >= depth ->
+      invalid_arg "Explore.explore: resume frontier not shallower"
+  | _ -> ());
   let t0 = Clock.now_ns () in
   let cancel = match cancel with Some f -> f | None -> fun () -> false in
-  (* Persist/resume are sequential-exact modes: frontier seeds must be
-     discovered (and replayed) in first-visit order for the resumed
-     witness to stay the lex-least one, and bitstate hits could prune
-     a subtree holding unrecorded cut leaves.  Both are therefore
-     silently ignored under fan-out or hash compaction; the sleep
-     bitset additionally needs every process id to fit a word. *)
-  let persist = persist && domains <= 1 && bitstate = None && n < 62 in
-  let resume =
-    match resume with
-    | Some f when domains <= 1 && bitstate = None ->
-        if f.fr_depth >= depth then
-          invalid_arg "Explore.explore: resume frontier not shallower";
-        Some f
-    | _ -> None
-  in
-  (* [reduce]: the sleep-set walk runs; [dpor] selects the dynamic
-     observed-access oracle over the declared-footprint one. *)
-  let reduce = por || dpor in
-  (* Compact keys only matter when the exact cache is live: bitstate
-     mode hashes the structural fingerprint directly (interning every
-     visited configuration would defeat its bounded-memory point), and
-     the sleep bitset needs every process id to fit a word. *)
-  let compact = compact && cache && bitstate = None && n < 62 in
   let menu = decision_menu ~n ~invoke ~depth ~max_crashes ~symmetry in
   (* Would the menu be nonempty with the depth guard lifted?  Exactly
      when some process can still step, invoke or crash — neither
@@ -543,7 +361,12 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
             (fun p -> view.Driver.status p <> Runtime.Crashed)
             (Proc.all ~n)
   in
-  let make_cursor st =
+  let st =
+    new_state ?capacity:cache_capacity ~sink:(Obs.sink obs)
+      ~progress:(Obs.progress obs) ~sanitize ~dpor ~cache ()
+  in
+  wire_progress st;
+  let make_cursor () =
     Runner.Cursor.create ~n ~factory:(factory ()) ~ticks:st.ticks
       ?shadow:st.shadow ?probe:st.probe ?encode:st.encode ()
   in
@@ -551,7 +374,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
      edge executes: the dynamic filter then wakes the sleepers whose
      pending actions raced with the step's observed accesses.  Returns
      the settled sleep set. *)
-  let settle_sleep st cursor d candidate len =
+  let settle_sleep cursor d candidate len =
     if not dpor then candidate
     else begin
       let observed = Dpor.observed_step_mask ~probe:st.probe ~declared:None in
@@ -576,18 +399,15 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
      The first child extends the cursor in place (the incremental step
      the naive engine lacks); each later sibling re-establishes the
      configuration by replaying the decision prefix into a fresh
-     cursor — unless the subtree is farmed out to the shared queue for
-     another domain to steal.  Returns [true] iff the subtree was
-     fully explored locally (so its transposition entry is exact and
-     may be written).  Raises [Found_counterexample] with [st.found]
-     set on the first failing maximal run, which under this in-order
-     walk is the rank-least one of the subtree.
+     cursor.  Raises [Found_counterexample] with [st.found] set on the
+     first failing maximal run, which under this in-order walk is the
+     lexicographically least one.
 
      [visit] wraps [visit_body] in the telemetry node span; the span
      closes on every exit, [Found_counterexample] unwinds included, so
      traces stay balanced.  With the sink disabled the wrapper costs
      two branches and no [Fun.protect] frame. *)
-  let rec visit sh st cursor rev_script rev_rank len crashes sleep =
+  let rec visit cursor rev_script len crashes sleep =
     st.nodes <- st.nodes + 1;
     Progress.tick st.progress st.sample;
     if Telemetry.enabled st.sink then begin
@@ -595,36 +415,17 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
       Fun.protect
         ~finally:(fun () ->
           Telemetry.emit st.sink Telemetry.Node_leave len 0)
-        (fun () ->
-          visit_body sh st cursor rev_script rev_rank len crashes sleep)
+        (fun () -> visit_body cursor rev_script len crashes sleep)
     end
-    else visit_body sh st cursor rev_script rev_rank len crashes sleep
-  and visit_body sh st cursor rev_script rev_rank len crashes sleep =
+    else visit_body cursor rev_script len crashes sleep
+  and visit_body cursor rev_script len crashes sleep =
     if cancel () then raise Cancelled;
-    match st.bitstate with
-    | Some bs
-      when Bitstate.test_and_set bs
-             (Runtime.hash_value
-                (K_struct
-                   { k_fp = Runner.Cursor.fingerprint cursor; k_sleep = sleep }))
-      ->
-        (* Bitstate hit: the configuration's compacted hash was seen
-           before — prune without crediting anything (the table stores
-           no subtree data, and the hit may be a collision; the stats
-           carry the Bloom bound that quantifies how often). *)
-        st.hits <- st.hits + 1;
-        Telemetry.emit st.sink Telemetry.Cache_hit len 0;
-        true
-    | _ ->
     let key =
-      if not cache || st.bitstate <> None then None
-      else if compact then
-        Some
-          (K_compact
-             (Intern.Ints.intern st.keys
-                (Runner.Cursor.compact_key cursor ~extra:[ sleep_bits sleep ])))
+      if not cache then None
       else
-        Some (K_struct { k_fp = Runner.Cursor.fingerprint cursor; k_sleep = sleep })
+        Some
+          (Intern.Ints.intern st.keys
+             (Runner.Cursor.compact_key cursor ~extra:[ sleep_bits sleep ]))
     in
     match Option.bind key (Clock_cache.find_opt st.table) with
     | Some e ->
@@ -636,8 +437,7 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
         st.hits <- st.hits + 1;
         st.runs <- st.runs + e.e_runs;
         st.digest <- st.digest + e.e_digest;
-        Telemetry.emit st.sink Telemetry.Cache_hit len e.e_runs;
-        true
+        Telemetry.emit st.sink Telemetry.Cache_hit len e.e_runs
     | None -> begin
         let decisions, sym_pruned =
           menu (Runner.Cursor.view cursor) len crashes
@@ -678,17 +478,16 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                   Clock_cache.replace st.table k { e_runs = 1; e_digest = dh })
                 key;
             if not (check r) then begin
-              st.found <- Some (List.rev rev_rank, List.rev rev_script, r);
+              st.found <- Some (List.rev rev_script, r);
               raise Found_counterexample
-            end;
-            true
+            end
         | _ -> begin
             (* Sleep-set filter: a slept process's pending step
                commutes with every step taken since it went to sleep,
                so granting it here would reproduce, step-swapped, a run
                already explored from an earlier sibling. *)
             let asleep, active =
-              if reduce && sleep <> [] then
+              if dpor && sleep <> [] then
                 List.partition
                   (fun d ->
                     match d with
@@ -710,55 +509,24 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                   (fun k ->
                     Clock_cache.replace st.table k
                       { e_runs = 0; e_digest = 0 })
-                  key;
-                true
+                  key
             | _ ->
                 let runs0 = st.runs and digest0 = st.digest in
                 let cuts0 = st.fr_cuts in
-                let pend p = Runner.Cursor.pending_mask cursor p in
-                let commutes z d =
-                  match d with
-                  | Driver.Schedule q when not (Proc.equal q z) -> begin
-                      (* Precomputed conflict masks: the commutation
-                         check is two word ANDs ([masks_commute]),
-                         verdict-identical to [footprints_commute] on
-                         the declared footprints. *)
-                      match (pend z, pend q) with
-                      | Some a, Some b -> Runtime.masks_commute a b
-                      | _ -> false
-                    end
-                  | Driver.Invoke (q, _) when not (Proc.equal q z) ->
-                      (* Invoking [q] touches only [q]-local state (and
-                         appends [q]'s invocation event), so it commutes
-                         with any pending step of [z] — whatever objects
-                         that step accesses.  Requires [invoke] to derive
-                         its invocation from [q]'s own projection of the
-                         history, which every counting workload does. *)
-                      true
-                  | _ -> false
-                in
-                (* Children, each with its sleep set: a process stays
-                   (or, as an explored earlier sibling, falls) asleep
-                   across child [d] iff its pending step commutes with
-                   [d].  Declared POR decides commutation here, from
-                   static footprints; DPOR instead carries the whole
-                   set as a candidate and lets [settle_sleep] wake
-                   racers from the accesses [d] actually performed
-                   (crashes conservatively wake everyone — a crash
-                   perturbs every process's view of the crashed one). *)
+                (* Children, each with its candidate sleep set: every
+                   explored earlier sibling falls asleep for the later
+                   ones, and [settle_sleep] wakes racers from the
+                   accesses the child's edge actually performed.
+                   Crashes wake everyone — a crash perturbs every
+                   process's view of the crashed one. *)
                 let children =
-                  if not reduce then
-                    List.mapi (fun i d -> (i, d, [])) active
+                  if not dpor then List.mapi (fun i d -> (i, d, [])) active
                   else
                     List.mapi (fun i d -> (i, d)) active
                     |> List.fold_left
                          (fun (acc, prev) (i, d) ->
                            let child_sleep =
-                             if dpor then
-                               match d with
-                               | Driver.Crash _ -> []
-                               | _ -> prev
-                             else List.filter (fun z -> commutes z d) prev
+                             match d with Driver.Crash _ -> [] | _ -> prev
                            in
                            let prev' =
                              match d with
@@ -770,14 +538,6 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                          ([], sleep)
                     |> fst |> List.rev
                 in
-                let farm_out =
-                  match sh with
-                  | Some sh ->
-                      List.length children > 1
-                      && Atomic.get sh.outstanding < sh.spawn_bound
-                  | None -> false
-                in
-                let complete = ref (not farm_out) in
                 List.iter
                   (fun (i, d, child_sleep) ->
                     let crashes' =
@@ -785,57 +545,30 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                       | Driver.Crash _ -> crashes + 1
                       | _ -> crashes
                     in
-                    if farm_out && i > 0 then begin
-                      (* Publish the sibling as a stealable frontier
-                         item; whoever pops it replays the prefix. *)
-                      let sh = Option.get sh in
-                      let id = Atomic.fetch_and_add sh.next_item 1 in
-                      Telemetry.emit st.sink Telemetry.Frontier_push id
-                        (len + 1);
-                      push sh
-                        {
-                          it_id = id;
-                          it_owner = st.index;
-                          it_script = d :: rev_script;
-                          it_len = len + 1;
-                          it_crashes = crashes';
-                          it_sleep = child_sleep;
-                          it_rank = List.rev (i :: rev_rank);
-                        }
-                    end
-                    else begin
-                      let child =
-                        if i = 0 then begin
-                          st.avoided <- st.avoided + 1;
-                          cursor
-                        end
-                        else begin
-                          let c = make_cursor st in
-                          List.iter (Runner.Cursor.apply c)
-                            (List.rev rev_script);
-                          st.replayed <- st.replayed + len;
-                          c
-                        end
-                      in
-                      Telemetry.emit st.sink Telemetry.Decision (len + 1)
-                        (dec_code d);
-                      Runner.Cursor.apply child d;
-                      let settled =
-                        settle_sleep st child d child_sleep (len + 1)
-                      in
-                      if
-                        not
-                          (visit sh st child (d :: rev_script)
-                             (i :: rev_rank) (len + 1) crashes' settled)
-                      then complete := false
-                    end)
+                    let child =
+                      if i = 0 then begin
+                        st.avoided <- st.avoided + 1;
+                        cursor
+                      end
+                      else begin
+                        let c = make_cursor () in
+                        List.iter (Runner.Cursor.apply c) (List.rev rev_script);
+                        st.replayed <- st.replayed + len;
+                        c
+                      end
+                    in
+                    Telemetry.emit st.sink Telemetry.Decision (len + 1)
+                      (dec_code d);
+                    Runner.Cursor.apply child d;
+                    visit child (d :: rev_script) (len + 1) crashes'
+                      (settle_sleep child d child_sleep (len + 1)))
                   children;
                 (* Persist mode: never cache a subtree containing cut
                    leaves — a hit on it would credit runs without
                    re-recording the seeds it holds, so the frontier
                    would under-count.  (Verdict-neutral: a hit credits
                    exactly what re-exploration counts.) *)
-                if !complete && (st.fr_cuts = cuts0 || not persist) then
+                if st.fr_cuts = cuts0 || not persist then
                   Option.iter
                     (fun k ->
                       Clock_cache.replace st.table k
@@ -843,210 +576,74 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                           e_runs = st.runs - runs0;
                           e_digest = st.digest - digest0;
                         })
-                    key;
-                !complete
+                    key
           end
       end
   in
-  let finish ~domains_used states witness =
-    let stats =
-      stats_of_states ~domains_used
-        ~elapsed_ns:(Clock.now_ns () - t0)
-        ~events_dropped:(Obs.events_dropped obs)
-        states
-    in
-    match witness with
-    | None ->
-        let frontier =
-          match states with
-          | [ st ] when persist ->
-              (* [fr_base_*] = the runs/digest final at this depth:
-                 the totals minus every cut leaf's contribution.  A
-                 deeper resume starts from these and explores only the
-                 seed subtrees. *)
-              Some
-                {
-                  fr_depth = depth;
-                  fr_base_runs = stats.Explore_stats.runs - st.fr_cuts;
-                  fr_base_digest =
-                    stats.Explore_stats.history_digest - st.fr_cut_digest;
-                  fr_seeds = List.rev st.fr_rev_seeds;
-                }
-          | _ -> None
-        in
-        {
-          outcome = Ok stats.Explore_stats.runs;
-          stats;
-          witness_script = None;
-          frontier;
-        }
-    | Some (_, script, r) ->
-        {
-          outcome = Counterexample r;
-          stats;
-          witness_script = Some script;
-          frontier = None;
-        }
-  in
-  if domains <= 1 then begin
-    (* Sequential: one in-order walk from the root configuration — or,
-       resuming, one walk per stored frontier seed, in the stored
-       (first-visit, hence lex) order, on top of the stored base
-       counts.  Cut leaves terminated at the stored depth stay final
-       at any depth, so the seed subtrees are exactly the delta. *)
-    let st =
-      new_state ~index:0 ?capacity:cache_capacity
-        ~sink:(Obs.sink obs ~index:0) ~progress:(Obs.progress obs) ~sanitize
-        ~dpor ~compact ?bitstate ()
-    in
-    wire_progress obs [| st |] (fun () -> 0);
-    let walk () =
-      match resume with
-      | None -> ignore (visit None st (make_cursor st) [] [] 0 0 [] : bool)
-      | Some f ->
-          st.runs <- f.fr_base_runs;
-          st.digest <- f.fr_base_digest;
-          List.iter
-            (fun seed ->
-              let c = make_cursor st in
-              let ds = apply_codes ~invoke c seed.seed_script in
-              let len = List.length ds in
-              st.replayed <- st.replayed + len;
-              let crashes =
-                List.fold_left
-                  (fun a d ->
-                    match d with Driver.Crash _ -> a + 1 | _ -> a)
-                  0 ds
-              in
-              ignore
-                (visit None st c (List.rev ds) [] len crashes
-                   (procs_of_bits seed.seed_sleep)
-                  : bool))
-            f.fr_seeds
-    in
-    let witness =
-      match walk () with
-      | () -> None
-      | exception Found_counterexample -> st.found
-      | exception Cancelled ->
-          raise
-            (Interrupted
-               (stats_of_states ~domains_used:1
-                  ~elapsed_ns:(Clock.now_ns () - t0)
-                  ~events_dropped:(Obs.events_dropped obs)
-                  [ st ]))
-    in
-    finish ~domains_used:1 [ st ] witness
-  end
-  else begin
-    (* Work-stealing fan-out: domains drain a shared lock-free stack of
-       frontier items, and a busy domain publishes sibling subtrees
-       whenever the stack runs low, so domains stay busy at every
-       depth (not just across root branches).  The rank-least witness
-       is selected at the join, so the counterexample is deterministic
-       regardless of the steal schedule. *)
-    let fan_out = domains in
-    let shared =
-      {
-        queue = Atomic.make [];
-        outstanding = Atomic.make 0;
-        spawn_bound = 4 * fan_out;
-        next_item = Atomic.make 0;
-        best = Atomic.make None;
-      }
-    in
-    let progress = Obs.progress obs in
-    let states =
-      Array.init fan_out (fun i ->
-          new_state ~index:i ?capacity:cache_capacity
-            ~sink:(Obs.sink obs ~index:i)
-            ~progress:(if i = 0 then progress else Progress.off)
-            ~sanitize ~dpor ~compact ?bitstate ())
-    in
-    wire_progress obs states (fun () -> Atomic.get shared.outstanding);
-    let root_id = Atomic.fetch_and_add shared.next_item 1 in
-    Telemetry.emit states.(0).sink Telemetry.Frontier_push root_id 0;
-    push shared
-      {
-        it_id = root_id;
-        it_owner = 0;
-        it_script = [];
-        it_len = 0;
-        it_crashes = 0;
-        it_sleep = [];
-        it_rank = [];
-      };
-    let cancelled = Atomic.make false in
-    let worker i () =
-      let st = states.(i) in
-      let rec loop () =
-        if Atomic.get cancelled then ()
-        else
-        match pop shared with
-        | Some it ->
-            let skip =
-              (* An item rank-greater than the best witness cannot
-                 contain the least one; drop it. *)
-              match Atomic.get shared.best with
-              | Some (r, _, _) -> compare r it.it_rank <= 0
-              | None -> false
+  (* One in-order walk from the root configuration — or, resuming, one
+     walk per stored frontier seed, in the stored (first-visit, hence
+     lex) order, on top of the stored base counts.  Cut leaves
+     terminated at the stored depth stay final at any depth, so the
+     seed subtrees are exactly the delta. *)
+  let walk () =
+    match resume with
+    | None -> visit (make_cursor ()) [] 0 0 []
+    | Some f ->
+        st.runs <- f.fr_base_runs;
+        st.digest <- f.fr_base_digest;
+        List.iter
+          (fun seed ->
+            let c = make_cursor () in
+            let ds = apply_codes ~invoke c seed.seed_script in
+            let len = List.length ds in
+            st.replayed <- st.replayed + len;
+            let crashes =
+              List.fold_left
+                (fun a d -> match d with Driver.Crash _ -> a + 1 | _ -> a)
+                0 ds
             in
-            if not skip then begin
-              if it.it_owner <> st.index then begin
-                st.steals <- st.steals + 1;
-                Telemetry.emit st.sink Telemetry.Steal it.it_id it.it_owner
-              end;
-              let c = make_cursor st in
-              List.iter (Runner.Cursor.apply c) (List.rev it.it_script);
-              st.replayed <- st.replayed + it.it_len;
-              (* A stolen item carries the publisher's {e candidate}
-                 sleep set; the probe now holds the accesses of the
-                 item's last decision (the final step of the replay),
-                 so settle it here — exactly the filter the inline
-                 path would have applied. *)
-              let sleep =
-                match it.it_script with
-                | d :: _ -> settle_sleep st c d it.it_sleep it.it_len
-                | [] -> it.it_sleep
-              in
-              (match
-                 visit (Some shared) st c it.it_script
-                   (List.rev it.it_rank) it.it_len it.it_crashes sleep
-               with
-              | (_ : bool) -> ()
-              | exception Cancelled -> Atomic.set cancelled true
-              | exception Found_counterexample -> (
-                  match st.found with
-                  | Some w ->
-                      record_witness shared w;
-                      st.found <- None
-                  | None -> ()))
-            end;
-            Atomic.decr shared.outstanding;
-            loop ()
-        | None ->
-            if Atomic.get shared.outstanding > 0 then begin
-              Domain.cpu_relax ();
-              loop ()
-            end
+            visit c (List.rev ds) len crashes (procs_of_bits seed.seed_sleep))
+          f.fr_seeds
+  in
+  let stats () =
+    stats_of_state
+      ~elapsed_ns:(Clock.now_ns () - t0)
+      ~events_dropped:(Obs.events_dropped obs)
+      st
+  in
+  match walk () with
+  | exception Cancelled -> raise (Interrupted (stats ()))
+  | exception Found_counterexample ->
+      let script, r = Option.get st.found in
+      {
+        outcome = Counterexample r;
+        stats = stats ();
+        witness_script = Some script;
+        frontier = None;
+      }
+  | () ->
+      let stats = stats () in
+      (* [fr_base_*] = the runs/digest final at this depth: the totals
+         minus every cut leaf's contribution.  A deeper resume starts
+         from these and explores only the seed subtrees. *)
+      let frontier =
+        if not persist then None
+        else
+          Some
+            {
+              fr_depth = depth;
+              fr_base_runs = stats.Explore_stats.runs - st.fr_cuts;
+              fr_base_digest =
+                stats.Explore_stats.history_digest - st.fr_cut_digest;
+              fr_seeds = List.rev st.fr_rev_seeds;
+            }
       in
-      loop ()
-    in
-    let handles =
-      List.init (fan_out - 1) (fun i -> Domain.spawn (worker (i + 1)))
-    in
-    worker 0 ();
-    List.iter Domain.join handles;
-    if Atomic.get cancelled then
-      raise
-        (Interrupted
-           (stats_of_states ~domains_used:fan_out
-              ~elapsed_ns:(Clock.now_ns () - t0)
-              ~events_dropped:(Obs.events_dropped obs)
-              (Array.to_list states)));
-    finish ~domains_used:fan_out (Array.to_list states)
-      (Atomic.get shared.best)
-  end
+      {
+        outcome = Ok stats.Explore_stats.runs;
+        stats;
+        witness_script = None;
+        frontier;
+      }
 
 (* ------------------------------------------------------------------ *)
 (* The naive reference engine.                                         *)
@@ -1056,7 +653,7 @@ let explore_naive ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
   let menu =
     decision_menu ~n ~invoke ~depth ~max_crashes ~symmetry:false
   in
-  let st = new_state ~index:0 ~sink:Telemetry.null () in
+  let st = new_state ~sink:Telemetry.null () in
   (* The retained reference engine: re-run the decision prefix from a
      fresh implementation instance at every node of the tree, exactly
      as the original explorer did.  Kept for differential testing and
@@ -1078,7 +675,7 @@ let explore_naive ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
         st.checked <- st.checked + 1;
         st.digest <- st.digest + Runtime.hash_value r.Run_report.history;
         if not (check r) then begin
-          st.found <- Some ([], List.rev rev_script, r);
+          st.found <- Some (List.rev rev_script, r);
           raise Found_counterexample
         end
     | decisions ->
@@ -1096,9 +693,7 @@ let explore_naive ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
     | exception Found_counterexample -> st.found
   in
   let stats =
-    stats_of_states ~domains_used:1
-      ~elapsed_ns:(Clock.now_ns () - t0)
-      ~events_dropped:0 [ st ]
+    stats_of_state ~elapsed_ns:(Clock.now_ns () - t0) ~events_dropped:0 st
   in
   match witness with
   | None ->
@@ -1108,7 +703,7 @@ let explore_naive ~n ~factory ~invoke ~depth ?(max_crashes = 0) ~check () =
         witness_script = None;
         frontier = None;
       }
-  | Some (_, script, r) ->
+  | Some (script, r) ->
       {
         outcome = Counterexample r;
         stats;

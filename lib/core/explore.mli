@@ -20,12 +20,11 @@
       shared base-object digest) prunes schedule prefixes that reach an
       already-explored configuration, crediting the cached subtree's run
       count instead of descending; [~cache_capacity] bounds its memory
-      with clock (second-chance) eviction.  Three further multipliers
-      are opt-in: {e partial-order reduction} ([~por], sleep sets over
-      declared base-object access footprints), {e symmetry reduction}
-      ([~symmetry], orbit pruning of interchangeable untouched
-      processes), and {e work-stealing fan-out} ([~domains], a shared
-      lock-free queue of frontier items drained by OCaml 5 domains).
+      with clock (second-chance) eviction.  Two reductions are opt-in:
+      {e dynamic partial-order reduction} ([~dpor], sleep sets woken by
+      observed-access race reversals, {!Dpor}) and {e symmetry
+      reduction} ([~symmetry], orbit pruning of interchangeable
+      untouched processes).
     - {!explore_naive} — the retained reference: replays every prefix
       from scratch at every node, no cache, no reductions.  The
       differential suite proves the unreduced engines visit the
@@ -44,14 +43,13 @@
       per configuration class — pass [~cache:false] if a check depends
       on fine-grained event timing rather than on the history, crash
       set, totals and window.
-    - {e por} (default off): two pending steps with commuting declared
-      footprints ({!Slx_sim.Runtime.footprints_commute}) reach the same
-      configuration in either order; sleep sets explore one
-      representative interleaving per such commutation class.  The
-      representative's history can differ from a pruned run's by swaps
-      of adjacent response events of different processes, so [check]
-      must be invariant under that (every history-level check in this
-      repository is).
+    - {e dpor} (default off): two steps whose observed accesses do not
+      race reach the same configuration in either order; sleep sets
+      explore one representative interleaving per such commutation
+      class.  The representative's history can differ from a pruned
+      run's by swaps of adjacent response events of different
+      processes, so [check] must be invariant under that (every
+      history-level check in this repository is).
     - {e symmetry} (default off): requires the instance to be
       process-symmetric — all processes run the same [invoke] program
       and [check] is invariant under renaming processes (composed with
@@ -74,7 +72,7 @@ type ('inv, 'res) outcome =
   | Ok of int
       (** Every maximal bounded run satisfied the check.  The payload
           counts the {e maximal} runs explored (equivalence-class
-          representatives when POR/symmetry are on) — interior nodes of
+          representatives when DPOR/symmetry are on) — interior nodes of
           the decision tree (proper prefixes) are not counted; see
           {!Explore_stats.t.nodes} for those. *)
   | Counterexample of ('inv, 'res) Run_report.t
@@ -82,18 +80,17 @@ type ('inv, 'res) outcome =
           script among those the engine explores (in the menu order:
           steps/invocations of processes 1..n, then crashes of
           processes 1..n) — deterministic for any engine configuration:
-          cache or not, bounded or not, one domain or many.  With
-          POR/symmetry on, "explored" means the reduced tree: the
-          witness is then the least {e representative} of the least
-          failing equivalence class, identical across domain counts but
-          possibly a commutation/renaming of the unreduced engines'
-          witness. *)
+          cache or not, bounded or not.  With DPOR/symmetry on,
+          "explored" means the reduced tree: the witness is then the
+          least {e representative} of the least failing equivalence
+          class, possibly a commutation/renaming of the unreduced
+          engines' witness. *)
 
 type frontier_seed = {
   seed_script : int list;
       (** The coded decision prefix ({!code_of_decision}) reaching the
           cut leaf, root-first. *)
-  seed_sleep : int;  (** The leaf's settled POR sleep set, as a bitset. *)
+  seed_sleep : int;  (** The leaf's settled DPOR sleep set, as a bitset. *)
 }
 (** One {e cut leaf} of a depth-bounded exploration: a maximal run
     that ended only because the depth bound fell, recorded compactly
@@ -140,14 +137,10 @@ val explore :
   ?max_crashes:int ->
   ?cache:bool ->
   ?cache_capacity:int ->
-  ?por:bool ->
   ?dpor:bool ->
   ?symmetry:bool ->
-  ?domains:int ->
   ?obs:Slx_obs.Obs.t ->
   ?sanitize:bool ->
-  ?compact:bool ->
-  ?bitstate:int ->
   ?persist:bool ->
   ?resume:frontier ->
   ?cancel:(unit -> bool) ->
@@ -162,34 +155,28 @@ val explore :
     work.  [max_crashes] (default 0) additionally branches on crashing
     each not-yet-crashed process.
 
-    [cache] (default [true]) enables the transposition cache;
-    [cache_capacity] bounds each domain's cache to that many entries,
-    evicted second-chance (unbounded without it).  [por] (default
-    [false]) enables sleep-set partial-order reduction over the
-    base-object access footprints of pending steps.  [dpor] (default
-    [false]) enables the {e dynamic} variant ({!Dpor}): each cursor
-    carries an observed-access probe
-    ({!Slx_sim.Runtime.make_probe}), children inherit the whole sleep
-    set as a candidate, and after each edge executes the sleepers
-    whose pending footprints race with the accesses the step {e
-    actually performed} are woken (a {e race reversal},
-    {!Explore_stats.t.race_reversals}).  Observed accesses refine
-    declared footprints, so DPOR prunes at least as much as [por] on
-    any implementation whose declarations over-approximate; both
-    soundness caveats of [por] apply unchanged.  [por] and [dpor]
-    compose as "either on" with the DPOR oracle winning.  [symmetry]
-    (default [false]) declares the instance process-symmetric and
-    enables orbit pruning of untouched processes; see the soundness
-    notes above.  [domains] (default 1) fans the exploration across up
-    to that many OCaml 5 domains with work-stealing over a shared
-    frontier queue; [factory], [invoke] and [check] then run
-    concurrently in several domains and must not share unsynchronized
-    mutable state.
+    [cache] (default [true]) enables the transposition cache, keyed on
+    hash-consed encodings: every cursor carries an incremental interned
+    history id, and cache keys are dense small ints
+    ({!Slx_sim.Runner.Cursor.compact_key}, {!Intern}).  Interning is
+    injective, so keys are exact up to the digest collisions the
+    configuration fingerprint accepts.  [cache_capacity] bounds the
+    cache to that many entries, evicted second-chance (unbounded
+    without it).  [dpor] (default [false]) enables dynamic
+    partial-order reduction ({!Dpor}): each cursor carries an
+    observed-access probe ({!Slx_sim.Runtime.make_probe}), children
+    inherit the whole sleep set as a candidate, and after each edge
+    executes the sleepers whose pending footprints race with the
+    accesses the step {e actually performed} are woken (a {e race
+    reversal}, {!Explore_stats.t.race_reversals}).  Without it no
+    sleep sets are kept.  [symmetry] (default [false]) declares the
+    instance process-symmetric and enables orbit pruning of untouched
+    processes; see the soundness notes above.
 
     [obs] (default {!Slx_obs.Obs.disabled}) attaches the observability
-    bundle: with tracing on, each domain records typed events (node
-    spans, decisions, cache hits/evicts, reductions, frontier
-    pushes/steals) into its own ring for Chrome-trace export, and the
+    bundle: with tracing on, the engine records typed events (node
+    spans, decisions, cache hits/evicts, reductions) into a ring for
+    Chrome-trace export, and the
     bundle's progress reporter is ticked from the hot loop.  With the
     default bundle every event site costs one branch; verdicts,
     counters (other than [elapsed_ns]/[events_dropped]) and witnesses
@@ -198,13 +185,10 @@ val explore :
 
     The check runs on maximal runs only (depth reached or no decision
     available); the report's window is the whole run.  When a
-    counterexample is found the remaining exploration is abandoned
-    (work-stealing domains finish rank-lesser frontier items first, so
-    the reported witness is still deterministic), so [stats] then
-    reflects the work done up to (and while concurrently racing past)
-    the discovery.
+    counterexample is found the remaining exploration is abandoned, so
+    [stats] then reflects the work done up to the discovery.
 
-    [sanitize] (default [false]) installs a per-domain sanitizer
+    [sanitize] (default [false]) installs a sanitizer
     shadow ({!Slx_sim.Runtime.make_shadow}) on every cursor: physical
     base-object accesses are checked against declared footprints and
     mismatches counted into [stats.footprint_violations].  The shadow
@@ -214,32 +198,6 @@ val explore :
     one.  For raising shadows with replayable witnesses use
     {!Slx_analysis.Audit} instead.
 
-    [compact] (default [true]) keys the transposition cache on
-    hash-consed encodings: every cursor carries an incremental interned
-    history id, and cache keys become dense small ints
-    ({!Slx_sim.Runner.Cursor.compact_key}, {!Intern}) instead of deep
-    structural terms.  Interning is injective, so verdicts, stats and
-    witnesses are identical to [~compact:false] up to the digest
-    collisions the structural fingerprint already accepts (the
-    differential suite in test/test_compact.ml checks this on the full
-    audit registry); pass [~compact:false] to retain the structural
-    keys.  Compact mode is silently ignored when the cache is off,
-    when bitstate mode is on, or when [n >= 62] (the sleep bitset
-    would overflow a word).
-
-    [bitstate] switches the transposition store to SPIN-style hash
-    compaction ({!Bitstate}): a [2^bitstate]-bit table of fingerprint
-    hashes replaces the exact cache, bounding memory at
-    [2^(bitstate-3)] bytes per domain.  Membership is one-sided — a
-    hit may be a hash collision, so pruned subtrees may contain
-    unexplored states: [Ok] then means {e no violation found}, not
-    exhaustiveness, and the stats report the Bloom collision bound
-    ({!Explore_stats.bitstate_collision_probability}) quantifying the
-    risk.  Counterexamples remain sound (a found violation is real and
-    replayable).  Hits credit no cached run counts, so [runs] counts
-    only runs actually checked.  Safety-side only by design: the
-    fair-cycle search keeps its exact cache ({!Live_explore}).
-
     [persist] (default [false]) records the {e cut frontier}: every
     maximal run that ended only at the depth bound becomes a
     {!frontier_seed}, and on an [Ok] outcome the result carries a
@@ -247,8 +205,6 @@ val explore :
     leaves are not written to the transposition cache (hits on them
     would hide seed occurrences); this costs extra frontier-adjacent
     work but changes no verdict, witness, run count or digest.
-    Silently ignored — no frontier is produced — under [~domains > 1],
-    [~bitstate], or [n >= 62].
 
     [resume] starts from a previously recorded frontier instead of the
     root: each seed's script is decoded and replayed ([Invoke]
@@ -258,15 +214,15 @@ val explore :
     byte-identical to a cold run at [depth] with the same flags —
     callers must guarantee the instance, workload, flags and check
     match the stored run's ({!Slx_store.Persist} binds all of these
-    into the store key).  Ignored under [~domains > 1] or
-    [~bitstate]; composes with [persist] (chained deepening).
+    into the store key).  Composes with [persist] (chained
+    deepening).
 
     [cancel] is polled once per visited node; when it returns [true]
     the walk stops and {!Interrupted} carries the partial stats.  The
-    poll must be cheap and domain-safe (a [ref] or [Atomic] read).
+    poll must be cheap (a [ref] or [Atomic] read).
     @raise Interrupted when [cancel] fired.
-    @raise Invalid_argument if [resume.fr_depth >= depth], and unless
-    [4 <= bitstate <= 30]. *)
+    @raise Invalid_argument if [resume.fr_depth >= depth], or if
+    [n >= 62] (sleep sets are one-word bitsets). *)
 
 val code_of_decision : ('inv, 'res) Driver.decision -> int
 (** The persistent int form of a menu decision:
@@ -324,7 +280,7 @@ val forall_schedules :
   unit ->
   ('inv, 'res) outcome
 (** [explore] with the default engine configuration (cache on, no
-    reductions, one domain), returning just the outcome.  [Ok runs]
+    reductions), returning just the outcome.  [Ok runs]
     counts {e maximal} runs only. *)
 
 val workload_invoke :

@@ -1,21 +1,21 @@
 (* Hash-consing tables for compact configuration encodings.
 
-   The exploration engines replace deep structural values (histories,
-   fingerprints, suffix keys) with dense small-int ids: equal values
-   get equal ids and distinct values distinct ids, so the transposition
-   caches hash and compare single ints instead of re-traversing the
-   value on every visit.  Two flavors:
+   The safety explorer replaces deep structural values (histories,
+   fingerprints) with dense small-int ids: equal values get equal ids
+   and distinct values distinct ids, so the transposition cache hashes
+   and compares single ints instead of re-traversing the value on
+   every visit.  Two flavors:
 
    - ['a t]: a generic interner over structural equality (used for
-     history events and abstract cell encodings, which are small);
+     history events and history conses, which are small);
    - [Ints]: a specialized interner over int arrays with an explicit
      full-array FNV/mix fold — the polymorphic [Hashtbl.hash] samples
      only ~10 nodes, which on a key array would reintroduce exactly
      the truncation bug the compact encodings exist to kill.
 
-   Interners are single-domain by construction: each engine domain
-   owns its own pools, matching its own per-domain transposition
-   cache, so ids never cross domains. *)
+   Interners are not thread-safe: each exploration owns its pools,
+   matching its own transposition cache, so ids never cross
+   explorations. *)
 
 type 'a t = { tbl : ('a, int) Hashtbl.t; mutable next : int }
 

@@ -32,34 +32,6 @@ exception Found_lasso
    [Explore.Interrupted] at the top level. *)
 exception Cancelled
 
-(* Transposition keys pair the raw configuration fingerprint with the
-   last [2 * max_period] abstract trace cells: every candidate cycle
-   examined at or below a node is a function of the configuration (the
-   fingerprint, which embeds the full history and hence all response
-   payloads) and of at most that much trace suffix, so two prefixes
-   agreeing on both have identical candidate sets below — an entry is
-   written only for completed lasso-free subtrees.  Under DPOR the
-   reduced subtree additionally depends on the sleep set and on each
-   sleeper's ignoring streak (the proviso counter), so [k_sleep] joins
-   the key; with DPOR off it is always [] and keys degenerate to the
-   old shape. *)
-(* As in {!Explore}, two verdict-identical representations: the
-   structural form, and the hash-consed compact form (default) where
-   the fingerprint is the cursor's [compact_key] array, each abstract
-   trace cell is an interned id (the walk interns cells as it emits
-   them, so the suffix is already a small-int list), and each sleeper
-   is one packed [(streak << 8) | proc] int — the whole key then
-   interns to a single dense id.  No bitstate variant here, ever: a
-   false hit would silently truncate the fair-cycle search, and
-   [No_fair_cycle] is an exhaustiveness claim (doc/model.md §10). *)
-type ('inv, 'res) key =
-  | K_struct of {
-      k_fp : ('inv, 'res) Runner.fingerprint;
-      k_cells : string list list;
-      k_sleep : (Proc.t * int) list;
-    }
-  | K_compact of int
-
 type ('inv, 'res) state = {
   sink : Telemetry.sink;
   progress : Progress.t;
@@ -68,7 +40,6 @@ type ('inv, 'res) state = {
   mutable runs : int;
   mutable replayed : int;
   mutable avoided : int;
-  mutable hits : int;
   mutable invoke_pruned : int;
   mutable por_pruned : int;
   mutable reversals : int;
@@ -77,25 +48,13 @@ type ('inv, 'res) state = {
   mutable fair : int;
   mutable found : ('inv, 'res) Lasso.cert option;
   mutable fr_cuts : int;
-      (* Persist mode: cut leaves recorded as frontier seeds; suffix
-         cache entries are vetoed for subtrees containing any, as in
-         {!Explore}. *)
+      (* Persist mode: cut leaves recorded as frontier seeds. *)
   mutable fr_rev_seeds : live_seed list;
   ticks : int ref;
-  table : (('inv, 'res) key, unit) Clock_cache.t;
   shadow : Runtime.shadow option;  (* non-raising: counts only *)
   probe : Runtime.probe option;
       (* DPOR observed-access probe shared by all cursors of this
-         (sequential) search; recording only. *)
-  encode : (int -> ('inv, 'res) Event.t -> int) option;
-      (* Compact-key mode: the hash-consing hook every cursor is
-         created with (see {!Explore}). *)
-  cells_pool : string list Intern.t;
-      (* Compact-key mode: interns abstract trace cells, so the key's
-         trace suffix is a list of small ints. *)
-  keys : Intern.Ints.t;
-      (* Compact-key pool: interns the flat key arrays into the dense
-         ids the suffix cache is keyed on. *)
+         search; recording only. *)
 }
 
 let zero_sample =
@@ -103,25 +62,13 @@ let zero_sample =
     Progress.s_nodes = 0;
     s_runs = 0;
     s_steps = 0;
-    s_frontier = 0;
     s_cache_entries = 0;
     s_cache_capacity = 0;
     s_cycles = 0;
-    s_domain_steps = [];
   }
 
-let new_state ?capacity ?(sink = Telemetry.null) ?(progress = Progress.off)
-    ?(sanitize = false) ?(dpor = false) ?(compact = false) () =
-  let encode =
-    if not compact then None
-    else begin
-      let events = Intern.create () in
-      let conses = Intern.create () in
-      Some
-        (fun parent e ->
-          Intern.intern conses (parent, Intern.intern events e))
-    end
-  in
+let new_state ?(sink = Telemetry.null) ?(progress = Progress.off)
+    ?(sanitize = false) ?(dpor = false) () =
   {
     sink;
     progress;
@@ -130,7 +77,6 @@ let new_state ?capacity ?(sink = Telemetry.null) ?(progress = Progress.off)
     runs = 0;
     replayed = 0;
     avoided = 0;
-    hits = 0;
     invoke_pruned = 0;
     por_pruned = 0;
     reversals = 0;
@@ -141,15 +87,11 @@ let new_state ?capacity ?(sink = Telemetry.null) ?(progress = Progress.off)
     fr_cuts = 0;
     fr_rev_seeds = [];
     ticks = ref 0;
-    table = Clock_cache.create ?capacity ~sink ();
     shadow =
       (if sanitize then
          Some (Runtime.make_shadow ~record:false ~raise_on_violation:false ())
        else None);
     probe = (if dpor then Some (Runtime.make_probe ()) else None);
-    encode;
-    cells_pool = Intern.create ();
-    keys = Intern.Ints.create ();
   }
 
 (* Install the progress sample: the live search is sequential, so the
@@ -162,12 +104,9 @@ let wire_progress st =
           Progress.s_nodes = st.nodes;
           s_runs = st.runs;
           s_steps = !(st.ticks);
-          s_frontier = 0;
-          s_cache_entries = Clock_cache.length st.table;
-          s_cache_capacity =
-            Option.value ~default:0 (Clock_cache.capacity st.table);
+          s_cache_entries = 0;
+          s_cache_capacity = 0;
           s_cycles = st.cycles;
-          s_domain_steps = [];
         })
 
 (* The packed int the [Decision] telemetry event carries. *)
@@ -185,16 +124,12 @@ let stats_of_state ~elapsed_ns ~events_dropped st : Explore_stats.t =
     steps_executed = !(st.ticks);
     steps_replayed = st.replayed;
     replays_avoided = st.avoided;
-    cache_hits = st.hits;
-    cache_entries = Clock_cache.length st.table;
-    cache_evictions = Clock_cache.evictions st.table;
     por_prunes = st.por_pruned;
     race_reversals = st.reversals;
     invoke_order_prunes = st.invoke_pruned;
     proviso_wakes = st.proviso;
     cycles_examined = st.cycles;
     fair_cycles = st.fair;
-    domains_used = 1;
     footprint_violations =
       (match st.shadow with
       | Some sh -> Runtime.shadow_violation_count sh
@@ -321,9 +256,8 @@ let eval_candidates st ~factory ~good ~point ~max_period ~pump_ticks ~blocked
 
 let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     ?max_period ?pump_ticks ?(invoke_order = false) ?(dpor = false)
-    ?proviso_bound ?(cache = true) ?cache_capacity ?(obs = Obs.disabled)
-    ?(sanitize = false) ?(compact = true) ?(persist = false) ?resume ?cancel
-    () =
+    ?proviso_bound ?(obs = Obs.disabled) ?(sanitize = false) ?(persist = false)
+    ?resume ?cancel () =
   let t0 = Clock.now_ns () in
   let cancel = match cancel with Some f -> f | None -> fun () -> false in
   (match resume with
@@ -350,13 +284,9 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
      graph either), and larger bounds can ignore a transition across a
      whole short cycle and silently miss its lasso. *)
   let proviso_bound = Option.value proviso_bound ~default:2 in
-  (* Compact keys need the cache to be live and every packed
-     [(streak << 8) | proc] sleeper entry to be unambiguous. *)
-  let compact = compact && cache && n < 62 in
   let st =
-    new_state ?capacity:cache_capacity
-      ~sink:(Obs.sink obs ~index:0)
-      ~progress:(Obs.progress obs) ~sanitize ~dpor ~compact ()
+    new_state ~sink:(Obs.sink obs) ~progress:(Obs.progress obs) ~sanitize
+      ~dpor ()
   in
   wire_progress st;
   let all_procs = Proc.all ~n in
@@ -475,8 +405,7 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
      closed on every exit ([Found_lasso] unwinds included).  [sleep]
      carries each slept process with its ignoring streak; [] with DPOR
      off. *)
-  let rec visit cursor rev_script rev_cells rev_cids rev_goods len crashes
-      sleep =
+  let rec visit cursor rev_script rev_cells rev_goods len crashes sleep =
     st.nodes <- st.nodes + 1;
     Progress.tick st.progress st.sample;
     if Telemetry.enabled st.sink then begin
@@ -485,189 +414,145 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
         ~finally:(fun () ->
           Telemetry.emit st.sink Telemetry.Node_leave len 0)
         (fun () ->
-          visit_body cursor rev_script rev_cells rev_cids rev_goods len
-            crashes sleep)
+          visit_body cursor rev_script rev_cells rev_goods len crashes sleep)
     end
-    else
-      visit_body cursor rev_script rev_cells rev_cids rev_goods len crashes
-        sleep
-  and visit_body cursor rev_script rev_cells rev_cids rev_goods len crashes
-      sleep =
+    else visit_body cursor rev_script rev_cells rev_goods len crashes sleep
+  and visit_body cursor rev_script rev_cells rev_goods len crashes sleep =
     if cancel () then raise Cancelled;
-    let key =
-      if not cache then None
-      else if compact then
-        (* The interned-cell suffix is length-prefixed so the cell ids
-           and the packed sleeper entries cannot alias each other in
-           the flat array. *)
-        let cids = take (2 * max_period) rev_cids in
-        Some
-          (K_compact
-             (Intern.Ints.intern st.keys
-                (Runner.Cursor.compact_key cursor
-                   ~extra:
-                     ((List.length cids :: cids)
-                     @ List.map (fun (z, s) -> (s lsl 8) lor z) sleep))))
-      else
-        Some
-          (K_struct
-             {
-               k_fp = Runner.Cursor.fingerprint cursor;
-               k_cells = take (2 * max_period) rev_cells;
-               k_sleep = sleep;
-             })
-    in
-    match Option.bind key (Clock_cache.find_opt st.table) with
-    | Some () ->
-        st.hits <- st.hits + 1;
-        Telemetry.emit st.sink Telemetry.Cache_hit len 0
-    | None ->
-        let cuts0 = st.fr_cuts in
-        let view = Runner.Cursor.view cursor in
-        eval_candidates st ~factory ~good ~point ~max_period ~pump_ticks
-          ~blocked:(blocked_at view) cursor rev_script rev_cells rev_goods len;
-        (match menu view len crashes with
-        | [] ->
-            st.runs <- st.runs + 1;
-            if persist && has_future view crashes then begin
-              (* A cut leaf: record the coded script and the sleep set
-                 with its proviso streaks (packed, as in the compact
-                 key) so a deeper resume re-settles nothing. *)
-              st.fr_cuts <- st.fr_cuts + 1;
-              st.fr_rev_seeds <-
-                {
-                  ls_script = List.rev_map Explore.code_of_decision rev_script;
-                  ls_sleep = List.map (fun (z, s) -> (s lsl 8) lor z) sleep;
-                }
-                :: st.fr_rev_seeds
-            end
-        | decisions ->
-            (* Sleep-set filter, guarded by the cycle proviso.  A slept
-               process's step commutes with everything executed since
-               it went to sleep, so granting it here only step-swaps a
-               run an earlier sibling explores — {e for safety}.  For
-               cycle detection two extra wakes keep the reduction
-               sound: a path is never truncated outright (if every
-               enabled decision is asleep, all sleepers are
-               force-woken), and no process sleeps through more than
-               [proviso_bound] consecutive edges ([settle_sleep]), so
-               every pruned transition is re-enabled within that many
-               ticks on any retained cycle. *)
-            let asleep, active =
-              if dpor && sleep <> [] then
-                List.partition
-                  (fun d ->
-                    match d with
-                    | Driver.Schedule p -> List.mem_assoc p sleep
-                    | _ -> false)
-                  decisions
-              else ([], decisions)
+    let view = Runner.Cursor.view cursor in
+    eval_candidates st ~factory ~good ~point ~max_period ~pump_ticks
+      ~blocked:(blocked_at view) cursor rev_script rev_cells rev_goods len;
+    match menu view len crashes with
+    | [] ->
+        st.runs <- st.runs + 1;
+        if persist && has_future view crashes then begin
+          (* A cut leaf: record the coded script and the sleep set
+             with its proviso streaks (packed as
+             [(streak << 8) | proc]) so a deeper resume re-settles
+             nothing. *)
+          st.fr_cuts <- st.fr_cuts + 1;
+          st.fr_rev_seeds <-
+            {
+              ls_script = List.rev_map Explore.code_of_decision rev_script;
+              ls_sleep = List.map (fun (z, s) -> (s lsl 8) lor z) sleep;
+            }
+            :: st.fr_rev_seeds
+        end
+    | decisions ->
+        (* Sleep-set filter, guarded by the cycle proviso.  A slept
+           process's step commutes with everything executed since
+           it went to sleep, so granting it here only step-swaps a
+           run an earlier sibling explores — {e for safety}.  For
+           cycle detection two extra wakes keep the reduction
+           sound: a path is never truncated outright (if every
+           enabled decision is asleep, all sleepers are
+           force-woken), and no process sleeps through more than
+           [proviso_bound] consecutive edges ([settle_sleep]), so
+           every pruned transition is re-enabled within that many
+           ticks on any retained cycle. *)
+        let asleep, active =
+          if dpor && sleep <> [] then
+            List.partition
+              (fun d ->
+                match d with
+                | Driver.Schedule p -> List.mem_assoc p sleep
+                | _ -> false)
+              decisions
+          else ([], decisions)
+        in
+        let asleep, active, sleep =
+          if active = [] && asleep <> [] then begin
+            st.proviso <- st.proviso + List.length asleep;
+            Telemetry.emit st.sink Telemetry.Proviso_wake len
+              (List.length asleep);
+            ([], decisions, [])
+          end
+          else (asleep, active, sleep)
+        in
+        st.por_pruned <- st.por_pruned + List.length asleep;
+        if asleep <> [] then
+          Telemetry.emit st.sink Telemetry.Por_sleep len
+            (List.length asleep);
+        (* Children with their candidate sleep sets: each explored
+           sibling falls asleep (streak 0) for the siblings after
+           it; crashes wake everyone. *)
+        let children =
+          if not dpor then List.mapi (fun i d -> (i, d, [])) active
+          else
+            List.mapi (fun i d -> (i, d)) active
+            |> List.fold_left
+                 (fun (acc, prev) (i, d) ->
+                   let child_sleep =
+                     match d with Driver.Crash _ -> [] | _ -> prev
+                   in
+                   let prev' =
+                     match d with
+                     | Driver.Schedule p ->
+                         (p, 0) :: List.remove_assoc p prev
+                     | _ -> prev
+                   in
+                   ((i, d, child_sleep) :: acc, prev'))
+                 ([], sleep)
+            |> fst |> List.rev
+        in
+        let before = History.length view.Driver.history in
+        List.iter
+          (fun (i, d, child_sleep) ->
+            let crashes' =
+              match d with Driver.Crash _ -> crashes + 1 | _ -> crashes
             in
-            let asleep, active, sleep =
-              if active = [] && asleep <> [] then begin
-                st.proviso <- st.proviso + List.length asleep;
-                Telemetry.emit st.sink Telemetry.Proviso_wake len
-                  (List.length asleep);
-                ([], decisions, [])
+            let child =
+              if i = 0 then begin
+                st.avoided <- st.avoided + 1;
+                cursor
               end
-              else (asleep, active, sleep)
+              else begin
+                let c =
+                  Runner.Cursor.replay ~n ~factory:(factory ())
+                    ~ticks:st.ticks ?shadow:st.shadow ?probe:st.probe
+                    (List.rev rev_script)
+                in
+                st.replayed <- st.replayed + len;
+                c
+              end
             in
-            st.por_pruned <- st.por_pruned + List.length asleep;
-            if asleep <> [] then
-              Telemetry.emit st.sink Telemetry.Por_sleep len
-                (List.length asleep);
-            (* Children with their candidate sleep sets: each explored
-               sibling falls asleep (streak 0) for the siblings after
-               it; crashes wake everyone. *)
-            let children =
-              if not dpor then List.mapi (fun i d -> (i, d, [])) active
-              else
-                List.mapi (fun i d -> (i, d)) active
-                |> List.fold_left
-                     (fun (acc, prev) (i, d) ->
-                       let child_sleep =
-                         match d with Driver.Crash _ -> [] | _ -> prev
-                       in
-                       let prev' =
-                         match d with
-                         | Driver.Schedule p ->
-                             (p, 0) :: List.remove_assoc p prev
-                         | _ -> prev
-                       in
-                       ((i, d, child_sleep) :: acc, prev'))
-                     ([], sleep)
-                |> fst |> List.rev
+            Telemetry.emit st.sink Telemetry.Decision (len + 1)
+              (dec_code d);
+            Runner.Cursor.apply child d;
+            let settled =
+              if dpor then settle_sleep child d child_sleep (len + 1)
+              else []
             in
-            let before = History.length view.Driver.history in
-            List.iter
-              (fun (i, d, child_sleep) ->
-                let crashes' =
-                  match d with Driver.Crash _ -> crashes + 1 | _ -> crashes
-                in
-                let child =
-                  if i = 0 then begin
-                    st.avoided <- st.avoided + 1;
-                    cursor
-                  end
-                  else begin
-                    let c =
-                      Runner.Cursor.replay ~n ~factory:(factory ())
-                        ~ticks:st.ticks ?shadow:st.shadow ?probe:st.probe
-                        ?encode:st.encode
-                        (List.rev rev_script)
-                    in
-                    st.replayed <- st.replayed + len;
-                    c
-                  end
-                in
-                Telemetry.emit st.sink Telemetry.Decision (len + 1)
-                  (dec_code d);
-                Runner.Cursor.apply child d;
-                let settled =
-                  if dpor then settle_sleep child d child_sleep (len + 1)
-                  else []
-                in
-                let fresh =
-                  drop before
-                    (History.to_list
-                       (Runner.Cursor.view child).Driver.history)
-                in
-                let cell = cell_of d fresh in
-                let rev_cids' =
-                  if compact then
-                    Intern.intern st.cells_pool cell :: rev_cids
-                  else rev_cids
-                in
-                visit child (d :: rev_script) (cell :: rev_cells) rev_cids'
-                  (goods_of ~good fresh :: rev_goods)
-                  (len + 1) crashes' settled)
-              children);
-        (* Persist mode: as in {!Explore}, never cache a subtree
-           holding cut leaves — a hit would hide their occurrences
-           from the seed log. *)
-        if st.fr_cuts = cuts0 || not persist then
-          Option.iter (fun k -> Clock_cache.replace st.table k ()) key
+            let fresh =
+              drop before
+                (History.to_list
+                   (Runner.Cursor.view child).Driver.history)
+            in
+            let cell = cell_of d fresh in
+            visit child (d :: rev_script) (cell :: rev_cells)
+              (goods_of ~good fresh :: rev_goods)
+              (len + 1) crashes' settled)
+          children
   in
   let make_cursor () =
     Runner.Cursor.create ~n ~factory:(factory ()) ~ticks:st.ticks
-      ?shadow:st.shadow ?probe:st.probe ?encode:st.encode ()
+      ?shadow:st.shadow ?probe:st.probe ()
   in
   (* Resuming: replay each stored seed decision by decision, rebuilding
-     the abstract cells / good-response sets / interned cell ids the
-     walk would have carried (the {!certify_run} pattern), then visit
-     only the seed subtrees on top of the stored base run count. *)
+     the abstract cells and good-response sets the walk would have
+     carried (the {!certify_run} pattern), then visit only the seed
+     subtrees on top of the stored base run count. *)
   let walk () =
     match resume with
-    | None -> visit (make_cursor ()) [] [] [] [] 0 0 []
+    | None -> visit (make_cursor ()) [] [] [] 0 0 []
     | Some f ->
         st.runs <- f.lf_base_runs;
         List.iter
           (fun seed ->
             let c = make_cursor () in
-            let rec go codes rev_script rev_cells rev_cids rev_goods len
-                crashes =
+            let rec go codes rev_script rev_cells rev_goods len crashes =
               match codes with
-              | [] -> (rev_script, rev_cells, rev_cids, rev_goods, len, crashes)
+              | [] -> (rev_script, rev_cells, rev_goods, len, crashes)
               | code :: tl ->
                   let view = Runner.Cursor.view c in
                   let d = Explore.decision_of_code ~invoke view code in
@@ -677,27 +562,22 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
                     drop before
                       (History.to_list (Runner.Cursor.view c).Driver.history)
                   in
-                  let cell = cell_of d fresh in
-                  let rev_cids' =
-                    if compact then
-                      Intern.intern st.cells_pool cell :: rev_cids
-                    else rev_cids
-                  in
-                  go tl (d :: rev_script) (cell :: rev_cells) rev_cids'
+                  go tl (d :: rev_script)
+                    (cell_of d fresh :: rev_cells)
                     (goods_of ~good fresh :: rev_goods)
                     (len + 1)
                     (match d with
                     | Driver.Crash _ -> crashes + 1
                     | _ -> crashes)
             in
-            let rev_script, rev_cells, rev_cids, rev_goods, len, crashes =
-              go seed.ls_script [] [] [] [] 0 0
+            let rev_script, rev_cells, rev_goods, len, crashes =
+              go seed.ls_script [] [] [] 0 0
             in
             st.replayed <- st.replayed + len;
             let sleep =
               List.map (fun c -> (c land 0xff, c asr 8)) seed.ls_sleep
             in
-            visit c rev_script rev_cells rev_cids rev_goods len crashes sleep)
+            visit c rev_script rev_cells rev_goods len crashes sleep)
           f.lf_seeds
   in
   let outcome =

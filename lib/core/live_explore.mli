@@ -44,12 +44,11 @@
 
     The walk is depth-first in the canonical menu order of {!Explore},
     so the emitted certificate is deterministic: the lex-least
-    stem+cycle script among the validated candidates, independent of
-    caching.  The transposition cache is keyed on the configuration
-    fingerprint {e plus} the last [2 * max_period] abstract cells —
-    the context that determines every candidate in a subtree — and
-    stores only completed lasso-free subtrees, so hits can never mask
-    the least witness.
+    stem+cycle script among the validated candidates.  The search
+    keeps no transposition cache: the context that determines every
+    candidate in a subtree includes the last [2 * max_period] abstract
+    cells, which at the default [max_period] is the whole path from the
+    root, and a tree walk never visits a path twice.
 
     {b Reductions.}  Naive sleep sets are unsound for cycle detection
     — sleep sets are path-dependent, and pruning by them can defer a
@@ -63,10 +62,8 @@
     asleep through more than [proviso_bound] consecutive edges.
     Together these guarantee that on every retained cycle each pruned
     transition is re-enabled within [proviso_bound] ticks, so a fair
-    periodic run cannot be ignored out of the reduced tree; the
-    transposition key carries the sleep set and the per-sleeper
-    ignoring streaks so distinct reduced subtrees never share an
-    entry.  Certificate validation (pumping) remains the unconditional
+    periodic run cannot be ignored out of the reduced tree.
+    Certificate validation (pumping) remains the unconditional
     backstop against false positives.  The other reduction offered is
     [invoke_order]. *)
 
@@ -140,11 +137,8 @@ val search :
   ?invoke_order:bool ->
   ?dpor:bool ->
   ?proviso_bound:int ->
-  ?cache:bool ->
-  ?cache_capacity:int ->
   ?obs:Slx_obs.Obs.t ->
   ?sanitize:bool ->
-  ?compact:bool ->
   ?persist:bool ->
   ?resume:live_frontier ->
   ?cancel:(unit -> bool) ->
@@ -176,12 +170,11 @@ val search :
     Ready and correct, so a cycle never granting it is unfair in the
     full graph too).  Larger bounds prune more but can ignore a
     transition across a whole shorter cycle and silently miss its
-    lasso; [cache]/[cache_capacity] control the suffix-keyed
-    transposition cache.
+    lasso.
 
     [obs] (default {!Slx_obs.Obs.disabled}) attaches the observability
-    bundle, as in {!Explore.explore}: node spans, decisions, cache
-    hits, [invoke_order] prunes, one [Cycle_candidate] instant per
+    bundle, as in {!Explore.explore}: node spans, decisions,
+    [invoke_order] prunes, one [Cycle_candidate] instant per
     candidate (tagged fair-and-violating or not) and one pump span per
     validation attempt, closed with its verdict on every path.
     Verdicts and counters (other than [elapsed_ns]/[events_dropped])
@@ -194,20 +187,8 @@ val search :
     verdict.  Pump validation runs outside the shadow — it re-executes
     an already-sanitized script on a fresh instance.
 
-    [compact] (default [true]) keys the suffix cache on hash-consed
-    encodings, exactly as in {!Explore.explore}: interned incremental
-    history ids, interned abstract-trace cells, packed sleeper
-    entries — one dense int per key.  Verdict- and
-    certificate-identical to [~compact:false] (differentially tested);
-    ignored when the cache is off or [n >= 62].  There is deliberately
-    no bitstate variant here: hash compaction's false hits would
-    silently truncate the search, and [No_fair_cycle] is an
-    exhaustiveness claim — the liveness side keeps exact keys
-    (doc/model.md §10).
-
     [persist]/[resume]/[cancel] behave as in {!Explore.explore}: cut
-    leaves become {!live_seed}s (suffix-cache entries are vetoed for
-    subtrees containing them), [resume] replays the stored seeds —
+    leaves become {!live_seed}s, [resume] replays the stored seeds —
     rebuilding their abstract-cell suffixes — and searches only their
     subtrees, and [cancel] is polled per node, aborting with
     {!Explore.Interrupted} carrying partial stats.  A resumed search

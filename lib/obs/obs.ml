@@ -1,8 +1,7 @@
 type t = {
   ob_tracing : bool;
   ob_capacity : int;
-  mutable ob_rings : Telemetry.ring list;
-  ob_mu : Mutex.t;
+  mutable ob_rings : Telemetry.ring list;  (* newest first *)
   ob_progress : Progress.t;
 }
 
@@ -12,7 +11,6 @@ let create ?(tracing = false) ?(ring_capacity = 65536) ?(progress = Progress.off
     ob_tracing = tracing;
     ob_capacity = ring_capacity;
     ob_rings = [];
-    ob_mu = Mutex.create ();
     ob_progress = progress;
   }
 
@@ -21,34 +19,18 @@ let disabled = create ()
 let tracing t = t.ob_tracing
 let progress t = t.ob_progress
 
-let sink t ~index =
+let sink t =
   if not t.ob_tracing then Telemetry.null
   else begin
-    let r = Telemetry.ring ~capacity:t.ob_capacity ~domain:index () in
-    Mutex.lock t.ob_mu;
+    let r = Telemetry.ring ~capacity:t.ob_capacity () in
     t.ob_rings <- r :: t.ob_rings;
-    Mutex.unlock t.ob_mu;
     Telemetry.sink_of_ring r
   end
 
-let rings t =
-  List.sort
-    (fun a b -> compare (Telemetry.ring_domain a) (Telemetry.ring_domain b))
-    t.ob_rings
-
-(* Flow starts must precede their ends in the merged order; the clock
-   has microsecond grain, so a push and its steal can tie on [ev_ns]
-   across rings — break such ties in the flow's favour. *)
-let flow_weight e =
-  match e.Telemetry.ev_kind with Telemetry.Steal -> 1 | _ -> 0
-
 let events t =
-  rings t
+  List.rev t.ob_rings
   |> List.concat_map Telemetry.ring_events
-  |> List.stable_sort (fun a b ->
-         compare
-           (a.Telemetry.ev_ns, flow_weight a)
-           (b.Telemetry.ev_ns, flow_weight b))
+  |> List.stable_sort (fun a b -> compare a.Telemetry.ev_ns b.Telemetry.ev_ns)
 
 let events_dropped t =
   List.fold_left (fun acc r -> acc + Telemetry.ring_dropped r) 0 t.ob_rings

@@ -10,8 +10,6 @@ type kind =
   | Proviso_wake
   | Invoke_prune
   | Symmetry_prune
-  | Frontier_push
-  | Steal
   | Cycle_candidate
   | Pump_start
   | Pump_verdict
@@ -30,8 +28,6 @@ let kind_name = function
   | Proviso_wake -> "proviso_wake"
   | Invoke_prune -> "invoke_prune"
   | Symmetry_prune -> "symmetry_prune"
-  | Frontier_push -> "frontier_push"
-  | Steal -> "steal"
   | Cycle_candidate -> "cycle_candidate"
   | Pump_start -> "pump_start"
   | Pump_verdict -> "pump_verdict"
@@ -40,14 +36,12 @@ let kind_name = function
 
 type event = {
   ev_ns : int;
-  ev_domain : int;
   ev_kind : kind;
   ev_a : int;
   ev_b : int;
 }
 
 type ring = {
-  r_domain : int;
   r_buf : event array;
   r_cap : int;
   mutable r_next : int;  (* total events ever written *)
@@ -59,12 +53,11 @@ type sink = Null | Ring of ring
 let null = Null
 let enabled = function Null -> false | Ring _ -> true
 
-let dummy = { ev_ns = 0; ev_domain = 0; ev_kind = Decision; ev_a = 0; ev_b = 0 }
+let dummy = { ev_ns = 0; ev_kind = Decision; ev_a = 0; ev_b = 0 }
 
-let ring ?(capacity = 65536) ~domain () =
+let ring ?(capacity = 65536) () =
   if capacity < 1 then invalid_arg "Telemetry.ring: capacity < 1";
   {
-    r_domain = domain;
     r_buf = Array.make capacity dummy;
     r_cap = capacity;
     r_next = 0;
@@ -72,7 +65,6 @@ let ring ?(capacity = 65536) ~domain () =
   }
 
 let sink_of_ring r = Ring r
-let ring_domain r = r.r_domain
 let ring_written r = r.r_next
 let ring_dropped r = max 0 (r.r_next - r.r_cap)
 
@@ -90,7 +82,7 @@ let[@inline] emit sink kind a b =
       let ns = if ns < r.r_last_ns then r.r_last_ns else ns in
       r.r_last_ns <- ns;
       r.r_buf.(r.r_next mod r.r_cap) <-
-        { ev_ns = ns; ev_domain = r.r_domain; ev_kind = kind; ev_a = a; ev_b = b };
+        { ev_ns = ns; ev_kind = kind; ev_a = a; ev_b = b };
       r.r_next <- r.r_next + 1
 
 module Dec = struct

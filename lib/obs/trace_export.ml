@@ -17,13 +17,11 @@ let escape s =
 
 (* One trace record.  [ts] is microseconds relative to the first
    event; Chrome accepts fractional microseconds. *)
-let record buf ~name ~cat ~ph ~ts ~tid ?id ?bp ~args () =
+let record buf ~name ~cat ~ph ~ts ~args () =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"%s\", \"ts\": %.3f, \
-        \"pid\": 1, \"tid\": %d" (escape name) cat ph ts tid);
-  Option.iter (fun id -> Buffer.add_string buf (Printf.sprintf ", \"id\": %d" id)) id;
-  Option.iter (fun bp -> Buffer.add_string buf (Printf.sprintf ", \"bp\": \"%s\"" bp)) bp;
+        \"pid\": 1, \"tid\": 0" (escape name) cat ph ts);
   if ph = "i" then Buffer.add_string buf ", \"s\": \"t\"";
   if args <> [] then begin
     Buffer.add_string buf ", \"args\": {";
@@ -36,66 +34,58 @@ let record buf ~name ~cat ~ph ~ts ~tid ?id ?bp ~args () =
 
 let event_record buf ~t0 e =
   let ts = float_of_int (e.ev_ns - t0) /. 1e3 in
-  let tid = e.ev_domain in
   let i = string_of_int in
   match e.ev_kind with
   | Node_enter ->
-      record buf ~name:"node" ~cat:"explore" ~ph:"B" ~ts ~tid
+      record buf ~name:"node" ~cat:"explore" ~ph:"B" ~ts
         ~args:[ ("depth", i e.ev_a) ] ()
   | Node_leave ->
-      record buf ~name:"node" ~cat:"explore" ~ph:"E" ~ts ~tid
+      record buf ~name:"node" ~cat:"explore" ~ph:"E" ~ts
         ~args:[ ("depth", i e.ev_a) ] ()
   | Pump_start ->
-      record buf ~name:"pump" ~cat:"live" ~ph:"B" ~ts ~tid
+      record buf ~name:"pump" ~cat:"live" ~ph:"B" ~ts
         ~args:[ ("period", i e.ev_a) ] ()
   | Pump_verdict ->
-      record buf ~name:"pump" ~cat:"live" ~ph:"E" ~ts ~tid
+      record buf ~name:"pump" ~cat:"live" ~ph:"E" ~ts
         ~args:[ ("period", i e.ev_a); ("accepted", i e.ev_b) ] ()
-  | Frontier_push ->
-      record buf ~name:"steal" ~cat:"frontier" ~ph:"s" ~ts ~tid ~id:e.ev_a
-        ~args:[ ("item", i e.ev_a); ("depth", i e.ev_b) ] ()
-  | Steal ->
-      record buf ~name:"steal" ~cat:"frontier" ~ph:"f" ~ts ~tid ~id:e.ev_a
-        ~bp:"e"
-        ~args:[ ("item", i e.ev_a); ("owner", i e.ev_b) ] ()
   | Decision ->
-      record buf ~name:"decision" ~cat:"explore" ~ph:"i" ~ts ~tid
+      record buf ~name:"decision" ~cat:"explore" ~ph:"i" ~ts
         ~args:
           [ ("depth", i e.ev_a);
             ("decision", Printf.sprintf "\"%s\"" (Dec.pp e.ev_b)) ]
         ()
   | Run_checked ->
-      record buf ~name:"run_checked" ~cat:"explore" ~ph:"i" ~ts ~tid
+      record buf ~name:"run_checked" ~cat:"explore" ~ph:"i" ~ts
         ~args:[ ("depth", i e.ev_a) ] ()
   | Cache_hit ->
-      record buf ~name:"cache_hit" ~cat:"cache" ~ph:"i" ~ts ~tid
+      record buf ~name:"cache_hit" ~cat:"cache" ~ph:"i" ~ts
         ~args:[ ("depth", i e.ev_a); ("credited_runs", i e.ev_b) ] ()
   | Cache_evict ->
-      record buf ~name:"cache_evict" ~cat:"cache" ~ph:"i" ~ts ~tid
+      record buf ~name:"cache_evict" ~cat:"cache" ~ph:"i" ~ts
         ~args:[ ("evictions", i e.ev_a) ] ()
   | Por_sleep ->
-      record buf ~name:"por_sleep" ~cat:"reduce" ~ph:"i" ~ts ~tid
+      record buf ~name:"por_sleep" ~cat:"reduce" ~ph:"i" ~ts
         ~args:[ ("depth", i e.ev_a); ("slept", i e.ev_b) ] ()
   | Race_reversal ->
-      record buf ~name:"race_reversal" ~cat:"reduce" ~ph:"i" ~ts ~tid
+      record buf ~name:"race_reversal" ~cat:"reduce" ~ph:"i" ~ts
         ~args:[ ("depth", i e.ev_a); ("woken", i e.ev_b) ] ()
   | Proviso_wake ->
-      record buf ~name:"proviso_wake" ~cat:"reduce" ~ph:"i" ~ts ~tid
+      record buf ~name:"proviso_wake" ~cat:"reduce" ~ph:"i" ~ts
         ~args:[ ("depth", i e.ev_a); ("woken", i e.ev_b) ] ()
   | Invoke_prune ->
-      record buf ~name:"invoke_prune" ~cat:"reduce" ~ph:"i" ~ts ~tid
+      record buf ~name:"invoke_prune" ~cat:"reduce" ~ph:"i" ~ts
         ~args:[ ("depth", i e.ev_a); ("pruned", i e.ev_b) ] ()
   | Symmetry_prune ->
-      record buf ~name:"symmetry_prune" ~cat:"reduce" ~ph:"i" ~ts ~tid
+      record buf ~name:"symmetry_prune" ~cat:"reduce" ~ph:"i" ~ts
         ~args:[ ("depth", i e.ev_a); ("pruned", i e.ev_b) ] ()
   | Cycle_candidate ->
-      record buf ~name:"cycle_candidate" ~cat:"live" ~ph:"i" ~ts ~tid
+      record buf ~name:"cycle_candidate" ~cat:"live" ~ph:"i" ~ts
         ~args:[ ("period", i e.ev_a); ("fair_violating", i e.ev_b) ] ()
   | Sanitizer_violation ->
-      record buf ~name:"sanitizer_violation" ~cat:"sanitize" ~ph:"i" ~ts ~tid
+      record buf ~name:"sanitizer_violation" ~cat:"sanitize" ~ph:"i" ~ts
         ~args:[ ("obj", i e.ev_a); ("kind", i e.ev_b) ] ()
   | Hb_edge ->
-      record buf ~name:"hb_edge" ~cat:"sanitize" ~ph:"i" ~ts ~tid
+      record buf ~name:"hb_edge" ~cat:"sanitize" ~ph:"i" ~ts
         ~args:[ ("obj", i e.ev_a); ("write", i e.ev_b) ] ()
 
 let to_buffer ?(name = "slx") ~events_dropped events buf =
@@ -103,25 +93,15 @@ let to_buffer ?(name = "slx") ~events_dropped events buf =
     List.fold_left (fun acc e -> min acc e.ev_ns) max_int events
   in
   let t0 = if t0 = max_int then 0 else t0 in
-  let domains =
-    List.sort_uniq compare (List.map (fun e -> e.ev_domain) events)
-  in
   Buffer.add_string buf "{\"traceEvents\": [\n";
   let first = ref true in
   let sep () =
     if !first then first := false else Buffer.add_string buf ",\n"
   in
   sep ();
-  record buf ~name:"process_name" ~cat:"__metadata" ~ph:"M" ~ts:0. ~tid:0
+  record buf ~name:"process_name" ~cat:"__metadata" ~ph:"M" ~ts:0.
     ~args:[ ("name", Printf.sprintf "\"%s\"" (escape name)) ]
     ();
-  List.iter
-    (fun d ->
-      sep ();
-      record buf ~name:"thread_name" ~cat:"__metadata" ~ph:"M" ~ts:0. ~tid:d
-        ~args:[ ("name", Printf.sprintf "\"domain %d\"" d) ]
-        ())
-    domains;
   List.iter
     (fun e ->
       sep ();
@@ -150,9 +130,6 @@ type summary = {
   sm_events : int;
   sm_spans : (string * int) list;
   sm_instants : (string * int) list;
-  sm_flow_starts : int;
-  sm_flow_ends : int;
-  sm_lanes : int;
   sm_dropped : int;
 }
 
@@ -188,8 +165,6 @@ let validate json =
         s
   in
   let spans = Hashtbl.create 8 and instants = Hashtbl.create 8 in
-  let flow_ids = Hashtbl.create 8 in
-  let flow_starts = ref 0 and flow_ends = ref 0 in
   let count = ref 0 in
   let step idx e =
     let field k conv what =
@@ -226,18 +201,6 @@ let validate json =
                 (Printf.sprintf "event %d: span end %S with no open span" idx
                    name)
         end
-      | "s" ->
-          let* id = field "id" Json.int "flow id" in
-          Hashtbl.replace flow_ids id ();
-          incr flow_starts;
-          Ok ()
-      | "f" ->
-          let* id = field "id" Json.int "flow id" in
-          if Hashtbl.mem flow_ids id then begin
-            incr flow_ends;
-            Ok ()
-          end
-          else Error (Printf.sprintf "event %d: flow end without start" idx)
       | "i" ->
           bump instants name;
           Ok ()
@@ -269,8 +232,5 @@ let validate json =
       sm_events = !count;
       sm_spans = assoc spans;
       sm_instants = assoc instants;
-      sm_flow_starts = !flow_starts;
-      sm_flow_ends = !flow_ends;
-      sm_lanes = Hashtbl.length stacks;
       sm_dropped = dropped;
     }

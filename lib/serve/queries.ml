@@ -155,7 +155,7 @@ let qid sp =
         | `Explore ->
             Persist.query_key ~ident:sp.sp_impl ~check:(check_id sp)
               ~n:sp.sp_n ~registry_digest:rd ~max_crashes:sp.sp_crashes
-              ~por:true ~dpor:true ~symmetry:true ()
+              ~dpor:true ~symmetry:true ()
         | `Live ->
             Persist.query_key ~ident:sp.sp_impl ~check:(check_id sp)
               ~n:sp.sp_n ~registry_digest:rd ~max_crashes:sp.sp_crashes
@@ -309,7 +309,7 @@ let run_task ?cancel ?(progress = Progress.off) sp mode =
           in
           match
             Explore.explore ~n:sp.sp_n ~factory ~invoke:safety_invoke ~depth
-              ~max_crashes:sp.sp_crashes ~por:true ~dpor:true ~symmetry:true
+              ~max_crashes:sp.sp_crashes ~dpor:true ~symmetry:true
               ~obs ~persist:true ?resume ?cancel ~check ()
           with
           | e -> safety_result e

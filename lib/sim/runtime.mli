@@ -435,7 +435,7 @@ val registry_digest_full : registry -> int
 val mix64 : int -> int
 (** A 64-bit finalizing mixer (xorshift-star family, 63-bit-safe
     constants): spreads small-int keys across the whole word.  Used by
-    the compact-key and bitstate machinery in {!Slx_core}. *)
+    the compact-key machinery in {!Slx_core}. *)
 
 val hash_value : 'a -> int
 (** The deep structural hash used for every fingerprint component: an

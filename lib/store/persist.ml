@@ -1,25 +1,24 @@
 open Slx_sim
 open Slx_core
 
-type source = Warm | Resumed of int | Cold | Uncached of string
+type source = Warm | Resumed of int | Cold
 
 let pp_source fmt = function
   | Warm -> Format.fprintf fmt "warm"
   | Resumed d -> Format.fprintf fmt "resumed from depth %d" d
   | Cold -> Format.fprintf fmt "cold"
-  | Uncached why -> Format.fprintf fmt "uncached (%s)" why
 
 let instance_digest ~n ~factory =
   Runner.Cursor.shared_digest
     (Runner.Cursor.create ~n ~factory:(factory ()) ())
 
 let query_key ~ident ~check ~n ~registry_digest ?(max_crashes = 0)
-    ?(por = false) ?(dpor = false) ?(symmetry = false) ?(invoke_order = false)
+    ?(dpor = false) ?(symmetry = false) ?(invoke_order = false)
     ?(proviso_bound = 2) () =
   Store.digest_string
-    (Printf.sprintf "%s|%s|n=%d|rd=%d|mc=%d|por=%b|dpor=%b|sym=%b|io=%b|pb=%d"
-       ident check n registry_digest max_crashes por dpor symmetry
-       invoke_order proviso_bound)
+    (Printf.sprintf "%s|%s|n=%d|rd=%d|mc=%d|dpor=%b|sym=%b|io=%b|pb=%d" ident
+       check n registry_digest max_crashes dpor symmetry invoke_order
+       proviso_bound)
 
 (* ------------------------------------------------------------------ *)
 (* Safety.                                                             *)
@@ -80,107 +79,93 @@ let record_of_exploration ~qid ~depth ~inherited (e : ('inv, 'res) Explore.explo
   }
 
 let run_explore ~store ~qid ~n ~factory ~invoke ~depth ?(max_crashes = 0)
-    ?(cache = true) ?cache_capacity ?(por = false) ?(dpor = false)
-    ?(symmetry = false) ?(domains = 1) ?obs ?(sanitize = false)
-    ?(compact = true) ?bitstate ?cancel ~check () =
-  let explore ?resume ?(persist = true) () =
+    ?(cache = true) ?cache_capacity ?(dpor = false) ?(symmetry = false) ?obs
+    ?(sanitize = false) ?cancel ~check () =
+  let explore ?resume () =
     Explore.explore ~n ~factory ~invoke ~depth ~max_crashes ~cache
-      ?cache_capacity ~por ~dpor ~symmetry ~domains ?obs ~sanitize ~compact
-      ?bitstate ~persist ?resume ?cancel ~check ()
+      ?cache_capacity ~dpor ~symmetry ?obs ~sanitize ~persist:true ?resume
+      ?cancel ~check ()
   in
-  match bitstate with
-  | Some _ ->
-      (* Bitstate verdicts are probabilistic; the store only holds
-         exhaustive facts. *)
-      (explore ~persist:false (), Uncached "bitstate")
-  | None -> begin
-      Store.bump store `Query;
-      let finish_live source inherited =
-        (* Run the engine (resumed or cold), store this answer's
-           record, and flush — also on interruption, so a SIGINT'd
-           session still pays its counters forward. *)
-        let resume =
-          match source with
-          | Resumed _ -> (
-              match Store.best_resumable store ~qid ~depth with
-              | Some r -> (
-                  match Option.bind r.Store.r_frontier frontier_of_store with
-                  | Some f -> Some { f with Explore.fr_depth = r.Store.r_depth }
-                  | None -> None)
+  Store.bump store `Query;
+  let finish_live source inherited =
+    (* Run the engine (resumed or cold), store this answer's
+       record, and flush — also on interruption, so a SIGINT'd
+       session still pays its counters forward. *)
+    let resume =
+      match source with
+      | Resumed _ -> (
+          match Store.best_resumable store ~qid ~depth with
+          | Some r -> (
+              match Option.bind r.Store.r_frontier frontier_of_store with
+              | Some f -> Some { f with Explore.fr_depth = r.Store.r_depth }
               | None -> None)
-          | _ -> None
-        in
-        match explore ?resume () with
-        | e ->
-            (match source with
-            | Resumed _ ->
-                Store.bump store
-                  (`Resume
-                    (max 0
-                       (inherited
-                       - e.Explore.stats.Explore_stats.steps_replayed)))
-            | _ -> Store.bump store `Cold);
-            Store.add store (record_of_exploration ~qid ~depth ~inherited e);
-            Store.commit store;
-            (e, source)
-        | exception Explore.Interrupted stats ->
-            Store.commit store;
-            raise (Explore.Interrupted stats)
-      in
-      match Store.find store ~qid ~depth with
-      | Some { Store.r_verdict = Store.V_ok runs; r_steps; r_frontier; _ } ->
-          Store.bump store (`Warm r_steps);
+          | None -> None)
+      | _ -> None
+    in
+    match explore ?resume () with
+    | e ->
+        (match source with
+        | Resumed _ ->
+            Store.bump store
+              (`Resume
+                (max 0
+                   (inherited
+                   - e.Explore.stats.Explore_stats.steps_replayed)))
+        | _ -> Store.bump store `Cold);
+        Store.add store (record_of_exploration ~qid ~depth ~inherited e);
+        Store.commit store;
+        (e, source)
+    | exception Explore.Interrupted stats ->
+        Store.commit store;
+        raise (Explore.Interrupted stats)
+  in
+  match Store.find store ~qid ~depth with
+  | Some { Store.r_verdict = Store.V_ok runs; r_steps; r_frontier; _ } ->
+      Store.bump store (`Warm r_steps);
+      Store.commit store;
+      ( {
+          Explore.outcome = Explore.Ok runs;
+          stats = Explore_stats.zero;
+          witness_script = None;
+          frontier =
+            Option.bind r_frontier (fun f ->
+                Option.map
+                  (fun fr -> { fr with Explore.fr_depth = depth })
+                  (frontier_of_store f));
+        },
+        Warm )
+  | Some { Store.r_verdict = Store.V_counterexample codes; r_steps; _ }
+    -> begin
+      (* Never trust a stored witness: replay it and re-run the
+         check.  A reproduction is served; anything else is a
+         rejected record (stale engine state the version header
+         missed, or a tampered file) and we fall back cold. *)
+      match Explore.run_of_codes ~n ~factory ~invoke codes with
+      | ds, report when not (check report) ->
+          Store.bump store (`Warm (max 0 (r_steps - List.length codes)));
           Store.commit store;
           ( {
-              Explore.outcome = Explore.Ok runs;
+              Explore.outcome = Explore.Counterexample report;
               stats = Explore_stats.zero;
-              witness_script = None;
-              frontier =
-                Option.bind r_frontier (fun f ->
-                    Option.map
-                      (fun fr -> { fr with Explore.fr_depth = depth })
-                      (frontier_of_store f));
+              witness_script = Some ds;
+              frontier = None;
             },
             Warm )
-      | Some { Store.r_verdict = Store.V_counterexample codes; r_steps; _ }
-        -> begin
-          (* Never trust a stored witness: replay it and re-run the
-             check.  A reproduction is served; anything else is a
-             rejected record (stale engine state the version header
-             missed, or a tampered file) and we fall back cold. *)
-          match Explore.run_of_codes ~n ~factory ~invoke codes with
-          | ds, report when not (check report) ->
-              Store.bump store (`Warm (max 0 (r_steps - List.length codes)));
-              Store.commit store;
-              ( {
-                  Explore.outcome = Explore.Counterexample report;
-                  stats = Explore_stats.zero;
-                  witness_script = Some ds;
-                  frontier = None;
-                },
-                Warm )
-          | _ | (exception _) ->
-              Store.bump store `Rejected;
-              finish_live Cold 0
-        end
-      | Some _ ->
-          (* A liveness verdict under a safety qid: impossible unless
-             the file was forged — treat as rejected. *)
+      | _ | (exception _) ->
           Store.bump store `Rejected;
           finish_live Cold 0
-      | None -> (
-          if domains > 1 then
-            (* The engine only cuts frontiers sequentially; resuming
-               under a parallel run would silently go cold inside the
-               engine and scramble the counters — plan cold here. *)
-            finish_live Cold 0
-          else
-            match Store.best_resumable store ~qid ~depth with
-            | Some r when Option.bind r.Store.r_frontier frontier_of_store <> None
-              ->
-                finish_live (Resumed r.Store.r_depth) r.Store.r_steps
-            | _ -> finish_live Cold 0)
     end
+  | Some _ ->
+      (* A liveness verdict under a safety qid: impossible unless
+         the file was forged — treat as rejected. *)
+      Store.bump store `Rejected;
+      finish_live Cold 0
+  | None -> (
+      match Store.best_resumable store ~qid ~depth with
+      | Some r when Option.bind r.Store.r_frontier frontier_of_store <> None
+        ->
+          finish_live (Resumed r.Store.r_depth) r.Store.r_steps
+      | _ -> finish_live Cold 0)
 
 (* ------------------------------------------------------------------ *)
 (* Liveness.                                                           *)
@@ -241,16 +226,15 @@ let record_of_live ~qid ~depth ~max_period ~pump_ticks ~inherited
 
 let run_live ~store ~qid ~n ~factory ~invoke ~good ~point ~depth
     ?(max_crashes = 0) ?max_period ?pump_ticks ?(invoke_order = false)
-    ?(dpor = false) ?proviso_bound ?(cache = true) ?cache_capacity ?obs
-    ?(sanitize = false) ?(compact = true) ?cancel () =
+    ?(dpor = false) ?proviso_bound ?obs ?(sanitize = false) ?cancel () =
   (* Resolve the depth-derived defaults here: the store needs the
      actual values to gate comparability across depths. *)
   let max_period = Option.value max_period ~default:(max 1 ((depth + 1) / 2)) in
   let pump_ticks = Option.value pump_ticks ~default:(4 * depth) in
   let search ?resume () =
     Live_explore.search ~n ~factory ~invoke ~good ~point ~depth ~max_crashes
-      ~max_period ~pump_ticks ~invoke_order ~dpor ?proviso_bound ~cache
-      ?cache_capacity ?obs ~sanitize ~compact ~persist:true ?resume ?cancel ()
+      ~max_period ~pump_ticks ~invoke_order ~dpor ?proviso_bound ?obs ~sanitize
+      ~persist:true ?resume ?cancel ()
   in
   Store.bump store `Query;
   let finish_live source inherited resume =

@@ -6,9 +6,8 @@
     the verdict-relevant identity: the implementation ident, the
     property ident, the system size, the initial shared-state digest
     ({!instance_digest}) and the reduction flags.  Anything that
-    cannot change a verdict — cache on/off, capacity, compaction,
-    domain count — deliberately stays out of the key, so tuning runs
-    share records.
+    cannot change a verdict — cache on/off, capacity — deliberately
+    stays out of the key, so tuning runs share records.
 
     Answer planning, in order:
 
@@ -31,11 +30,7 @@
     Every non-warm answer runs with [~persist:true] and stores its
     record (superseding the slot) before returning; the store is
     committed even when the run is {e interrupted} ([?cancel] /
-    SIGINT), so partial sessions still pay forward their counters.
-    Bitstate runs bypass the store entirely: their clean verdicts are
-    probabilistic, not exhaustive, and must never be replayed as
-    facts.  Parallel ([domains > 1]) runs are stored warm-servable but
-    frontier-less (the engine only cuts frontiers sequentially). *)
+    SIGINT), so partial sessions still pay forward their counters. *)
 
 open Slx_history
 open Slx_sim
@@ -47,8 +42,6 @@ type source =
   | Resumed of int
       (** Deepened from the stored frontier at this shallower depth. *)
   | Cold  (** Explored from scratch (and stored). *)
-  | Uncached of string
-      (** The store was bypassed — the reason (e.g. ["bitstate"]). *)
 
 val pp_source : Format.formatter -> source -> unit
 
@@ -66,7 +59,6 @@ val query_key :
   n:int ->
   registry_digest:int ->
   ?max_crashes:int ->
-  ?por:bool ->
   ?dpor:bool ->
   ?symmetry:bool ->
   ?invoke_order:bool ->
@@ -109,14 +101,10 @@ val run_explore :
   ?max_crashes:int ->
   ?cache:bool ->
   ?cache_capacity:int ->
-  ?por:bool ->
   ?dpor:bool ->
   ?symmetry:bool ->
-  ?domains:int ->
   ?obs:Slx_obs.Obs.t ->
   ?sanitize:bool ->
-  ?compact:bool ->
-  ?bitstate:int ->
   ?cancel:(unit -> bool) ->
   check:(('inv, 'res) Run_report.t -> bool) ->
   unit ->
@@ -146,11 +134,8 @@ val run_live :
   ?invoke_order:bool ->
   ?dpor:bool ->
   ?proviso_bound:int ->
-  ?cache:bool ->
-  ?cache_capacity:int ->
   ?obs:Slx_obs.Obs.t ->
   ?sanitize:bool ->
-  ?compact:bool ->
   ?cancel:(unit -> bool) ->
   unit ->
   ('inv, 'res) Live_explore.result * source

@@ -1,20 +1,18 @@
-(* The compact-encoding pass's own suite (ISSUE: hot-loop raw-speed
-   pass): the hash-consing and bitmask machinery must be invisible —
-   every verdict, witness script and lasso certificate byte-identical
-   with the compact hot path on or off — and the bitstate mode must be
-   honest about being lossy.
+(* The compact-encoding suite: the hash-consing and bitmask machinery
+   must be invisible — every verdict, witness script and lasso
+   certificate byte-identical whether or not the transposition cache
+   it keys is in use.
 
    Layers:
    - QCheck: interning preserves structural equality (the soundness
      argument for replacing key components with interned ids), and the
      conflict bitmasks agree with the footprint oracle everywhere,
      spill range included;
-   - differential sweeps over the whole audit registry, safety and
-     liveness legs, compact keys on vs off (mirroring
-     test/test_dpor.ml's dpor-on-vs-off sweeps);
-   - bitstate: an undersized table collides, prunes, reports its
-     honest collision bound, and never invents a counterexample; the
-     bits bounds raise;
+   - a differential sweep over the whole audit registry: the cached
+     safety explorer (interned keys) against the uncached one, and the
+     fair-cycle search with and without frontier recording;
+   - the fair-cycle search, which keeps no cache, pinned to the runs
+     and certificates the end-to-end benchmark records;
    - the incremental shared-state digest always agrees with the
      from-scratch recomputation — including for the deliberately
      mis-declared fixtures, whose physical write-touches are honest
@@ -105,42 +103,35 @@ let qcheck_wakes_mask_agree =
       = Dpor.wakes ~observed ~pending)
 
 (* ------------------------------------------------------------------ *)
-(* Safety leg: Explore with compact keys on vs off, over the whole     *)
-(* audit registry — identical verdicts, counters and lex-least         *)
-(* witness scripts.                                                    *)
+(* Safety leg: Explore with the cache on vs off, over the whole audit  *)
+(* registry — identical runs, history digests and lex-least witness    *)
+(* scripts.                                                            *)
 
 let diff_explore_case (Audit.Case c) =
   let depth = min c.Audit.c_depth 5 in
   let max_crashes = min c.Audit.c_max_crashes 1 in
-  let run ~compact ~check =
+  let run ~cache ~check =
     Explore.explore ~n:c.Audit.c_n ~factory:c.Audit.c_factory
-      ~invoke:c.Audit.c_invoke ~depth ~max_crashes ~dpor:true ~compact ~check
+      ~invoke:c.Audit.c_invoke ~depth ~max_crashes ~dpor:true ~cache ~check
       ()
   in
   let stats e = e.Explore.stats in
-  let full = run ~compact:false ~check:(fun _ -> true) in
-  let comp = run ~compact:true ~check:(fun _ -> true) in
-  (match (full.Explore.outcome, comp.Explore.outcome) with
+  let uncached = run ~cache:false ~check:(fun _ -> true) in
+  let cached = run ~cache:true ~check:(fun _ -> true) in
+  (match (uncached.Explore.outcome, cached.Explore.outcome) with
   | Explore.Ok a, Explore.Ok b ->
-      check_int (c.Audit.c_name ^ ": identical runs checked") a b
+      check_int (c.Audit.c_name ^ ": identical runs") a b
   | _ ->
       Alcotest.failf "%s: always-true check produced a counterexample"
         c.Audit.c_name);
-  check_int
-    (c.Audit.c_name ^ ": identical steps")
-    (stats full).Explore_stats.steps_executed
-    (stats comp).Explore_stats.steps_executed;
-  check_int
-    (c.Audit.c_name ^ ": identical cache hits")
-    (stats full).Explore_stats.cache_hits (stats comp).Explore_stats.cache_hits;
   check_bool
     (c.Audit.c_name ^ ": identical history digest")
     true
-    ((stats full).Explore_stats.history_digest
-    = (stats comp).Explore_stats.history_digest);
-  let fullx = run ~compact:false ~check:(fun _ -> false) in
-  let compx = run ~compact:true ~check:(fun _ -> false) in
-  match (fullx.Explore.witness_script, compx.Explore.witness_script) with
+    ((stats uncached).Explore_stats.history_digest
+    = (stats cached).Explore_stats.history_digest);
+  let uncachedx = run ~cache:false ~check:(fun _ -> false) in
+  let cachedx = run ~cache:true ~check:(fun _ -> false) in
+  match (uncachedx.Explore.witness_script, cachedx.Explore.witness_script) with
   | Some a, Some b ->
       Alcotest.(check string)
         (c.Audit.c_name ^ ": identical lex-least counterexample script")
@@ -154,23 +145,29 @@ let test_explore_differential () =
   List.iter diff_explore_case (Registry.all ())
 
 (* ------------------------------------------------------------------ *)
-(* Liveness leg: Live_explore with compact keys on vs off.             *)
+(* Liveness leg over the whole audit registry: recording a resumable   *)
+(* frontier (~persist, the store's mode) walks the same tree and       *)
+(* returns the same certificate as a plain search.                     *)
 
 let diff_live_case (Audit.Case c) =
   let depth = min c.Audit.c_depth 7 in
-  let run ~compact =
+  let run ~persist =
     Live_explore.search ~n:c.Audit.c_n ~factory:c.Audit.c_factory
       ~invoke:c.Audit.c_invoke
       ~good:(fun _ -> false)
-      ~point:(Freedom.make ~l:1 ~k:1) ~depth ~dpor:true ~compact ()
+      ~point:(Freedom.make ~l:1 ~k:1) ~depth ~dpor:true ~persist ()
   in
-  let full = run ~compact:false in
-  let comp = run ~compact:true in
+  let plain = run ~persist:false in
+  let stored = run ~persist:true in
   check_int
     (c.Audit.c_name ^ ": identical live nodes")
-    full.Live_explore.stats.Explore_stats.nodes
-    comp.Live_explore.stats.Explore_stats.nodes;
-  match (full.Live_explore.outcome, comp.Live_explore.outcome) with
+    plain.Live_explore.stats.Explore_stats.nodes
+    stored.Live_explore.stats.Explore_stats.nodes;
+  check_int
+    (c.Audit.c_name ^ ": identical live runs")
+    plain.Live_explore.stats.Explore_stats.runs
+    stored.Live_explore.stats.Explore_stats.runs;
+  match (plain.Live_explore.outcome, stored.Live_explore.outcome) with
   | Live_explore.No_fair_cycle, Live_explore.No_fair_cycle -> ()
   | Live_explore.Lasso a, Live_explore.Lasso b ->
       Alcotest.(check string)
@@ -186,15 +183,17 @@ let diff_live_case (Audit.Case c) =
         true
         (a.Lasso.c_cells = b.Lasso.c_cells)
   | Live_explore.Lasso _, Live_explore.No_fair_cycle ->
-      Alcotest.failf "%s: compact keys missed the lasso" c.Audit.c_name
+      Alcotest.failf "%s: persist mode missed the lasso" c.Audit.c_name
   | Live_explore.No_fair_cycle, Live_explore.Lasso _ ->
-      Alcotest.failf "%s: compact keys invented a lasso" c.Audit.c_name
+      Alcotest.failf "%s: persist mode invented a lasso" c.Audit.c_name
 
 let test_live_differential () = List.iter diff_live_case (Registry.all ())
 
-(* The positive half: Theorem 5.2's own (1,2) lasso at depth 8 must be
-   byte-identical with compact keys on or off, under the dpor
-   reduction whose key carries sleepers and streaks. *)
+(* ------------------------------------------------------------------ *)
+(* Liveness leg: the Theorem 5.2 split and the CAS (2,2) leg at the    *)
+(* CLI's defaults (DPOR on, one crash branch), pinned to the runs and  *)
+(* the (1,2) certificate recorded in perfbench/expected.json           *)
+(* (lp-reg-12-d8, lp-reg-11-d14, lp-cas-22-d10).                       *)
 
 let pp_consensus_inv (Slx_consensus.Consensus_type.Propose v) =
   "propose " ^ string_of_int v
@@ -203,103 +202,44 @@ let consensus_invoke =
   Explore.workload_invoke
     (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
 
-let test_register_cert_identity () =
-  let run ~compact =
-    Live_explore.search ~n:2
-      ~factory:(fun () ->
-        Slx_consensus.Register_consensus.factory ~max_rounds:8 ())
-      ~invoke:consensus_invoke
-      ~good:(fun _ -> true)
-      ~point:(Freedom.make ~l:1 ~k:2) ~depth:8 ~dpor:true ~compact ()
+let live_leg ~factory ~l ~k ~depth =
+  Live_explore.search ~n:2 ~factory ~invoke:consensus_invoke
+    ~good:(fun _ -> true)
+    ~point:(Freedom.make ~l ~k) ~depth ~max_crashes:1 ~dpor:true ()
+
+let register_factory ~depth () =
+  Slx_consensus.Register_consensus.factory ~max_rounds:(max 8 depth) ()
+
+let test_register_cert_pinned () =
+  let r = live_leg ~factory:(register_factory ~depth:8) ~l:1 ~k:2 ~depth:8 in
+  check_int "register (1,2) d8: recorded runs" 35
+    r.Live_explore.stats.Explore_stats.runs;
+  match r.Live_explore.outcome with
+  | Live_explore.No_fair_cycle ->
+      Alcotest.fail "register (1,2) d8: expected a lasso"
+  | Live_explore.Lasso c ->
+      Alcotest.(check string)
+        "recorded stem"
+        "I1(propose 0);S1;S1;I2(propose 1);S2;S1"
+        (show_script pp_consensus_inv c.Lasso.c_stem);
+      Alcotest.(check string)
+        "recorded cycle" "S2;S1"
+        (show_script pp_consensus_inv c.Lasso.c_cycle)
+
+let test_clean_live_runs_pinned () =
+  let clean name ~runs r =
+    (match r.Live_explore.outcome with
+    | Live_explore.No_fair_cycle -> ()
+    | Live_explore.Lasso _ -> Alcotest.failf "%s: expected no fair cycle" name);
+    check_int (name ^ ": recorded runs") runs
+      r.Live_explore.stats.Explore_stats.runs
   in
-  let cert name r =
-    match r.Live_explore.outcome with
-    | Live_explore.Lasso c -> c
-    | Live_explore.No_fair_cycle ->
-        Alcotest.failf "register (1,2) %s: expected a lasso" name
-  in
-  let b = cert "structural" (run ~compact:false) in
-  let c = cert "compact" (run ~compact:true) in
-  Alcotest.(check string)
-    "identical stem"
-    (show_script pp_consensus_inv b.Lasso.c_stem)
-    (show_script pp_consensus_inv c.Lasso.c_stem);
-  Alcotest.(check string)
-    "identical cycle"
-    (show_script pp_consensus_inv b.Lasso.c_cycle)
-    (show_script pp_consensus_inv c.Lasso.c_cycle);
-  check_bool "identical cells" true (b.Lasso.c_cells = c.Lasso.c_cells)
-
-(* ------------------------------------------------------------------ *)
-(* Bitstate: honesty of the lossy mode.                                *)
-
-let one_proposal =
-  Explore.workload_invoke
-    (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
-
-let register_explore ?bitstate () =
-  Explore.explore ~n:2
-    ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-    ~invoke:one_proposal ~depth:8 ?bitstate
-    ~check:(fun _ -> true)
-    ()
-
-let test_bitstate_undersized_is_honest () =
-  (* 2^4 = 16 slots for hundreds of states: the table saturates, false
-     hits prune real work, and the stats must say so — positive hit
-     count, near-certain reported collision probability — while the
-     verdict stays Ok (one-sided: pruning can only lose coverage,
-     never invent a violation). *)
-  let exact = register_explore () in
-  let lossy = register_explore ~bitstate:4 () in
-  let runs e =
-    match e.Explore.outcome with
-    | Explore.Ok r -> r
-    | Explore.Counterexample _ ->
-        Alcotest.fail "register depth-8 must be safe"
-  in
-  let st = lossy.Explore.stats in
-  check_int "stats record the table exponent" 4 st.Explore_stats.bitstate_bits;
-  check_bool "the undersized table collides" true
-    (st.Explore_stats.bitstate_hits > 0);
-  check_bool "collisions prune runs" true (runs lossy < runs exact);
-  let p = Explore_stats.bitstate_collision_probability st in
-  check_bool "the reported collision probability is near-certain" true
-    (p > 0.5);
-  check_bool "occupancy is bounded by the table size" true
-    (st.Explore_stats.bitstate_marks <= 16);
-  (* The exact run reports no bitstate row at all. *)
-  check_int "exact mode records no table"
-    0 exact.Explore.stats.Explore_stats.bitstate_bits;
-  check_bool "exact mode reports zero collision probability" true
-    (Explore_stats.bitstate_collision_probability exact.Explore.stats = 0.0)
-
-let test_bitstate_adequate_agrees () =
-  (* A comfortably-sized table on the same instance: the Bloom bound
-     is tiny and the verdict agrees with the exact exploration.  (The
-     explored run sets still differ by design, collision-free or not:
-     the bitstate marks a configuration at entry, so an ancestor
-     recurrence on the DFS stack hits, while the exact cache stores
-     only completed subtrees — digest identity is deliberately NOT
-     claimed for this mode, which is why it is safety-only.) *)
-  let exact = register_explore () in
-  let big = register_explore ~bitstate:20 () in
-  let st = big.Explore.stats in
-  check_bool "reported probability is small" true
-    (Explore_stats.bitstate_collision_probability st < 0.01);
-  (match (exact.Explore.outcome, big.Explore.outcome) with
-  | Explore.Ok _, Explore.Ok _ -> ()
-  | _ -> Alcotest.fail "both modes must report safe");
-  check_bool "an adequate table does not saturate" true
-    (st.Explore_stats.bitstate_marks < 1 lsl 20)
-
-let test_bitstate_bits_bounds () =
-  List.iter
-    (fun bits ->
-      match register_explore ~bitstate:bits () with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "bitstate %d must be rejected" bits)
-    [ 3; 31 ]
+  clean "register (1,1) d14" ~runs:7670
+    (live_leg ~factory:(register_factory ~depth:14) ~l:1 ~k:1 ~depth:14);
+  clean "cas (2,2) d10" ~runs:1557
+    (live_leg
+       ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
+       ~l:2 ~k:2 ~depth:10)
 
 (* ------------------------------------------------------------------ *)
 (* The incremental shared-state digest agrees with the from-scratch    *)
@@ -354,18 +294,14 @@ let suites =
   [
     ( "compact",
       [
-        quick "explore differential over the audit registry"
+        quick "explore cache on/off differential over the audit registry"
           test_explore_differential;
-        quick "live-explore differential over the audit registry"
+        quick "live-explore persist on/off differential over the audit registry"
           test_live_differential;
-        quick "register (1,2) certificate is identical under compact keys"
-          test_register_cert_identity;
-        quick "an undersized bitstate table is honest about collisions"
-          test_bitstate_undersized_is_honest;
-        quick "an adequate bitstate table agrees with the exact search"
-          test_bitstate_adequate_agrees;
-        quick "bitstate bits outside 4..30 are rejected"
-          test_bitstate_bits_bounds;
+        quick "register (1,2) certificate matches the recorded one"
+          test_register_cert_pinned;
+        quick "clean live legs match the recorded run counts"
+          test_clean_live_runs_pinned;
         quick "incremental shared digest = full recomputation"
           test_incremental_digest_matches_full;
         quick "incremental shared digest survives mis-declared fixtures"

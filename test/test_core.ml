@@ -385,7 +385,7 @@ let test_explore_finds_selfish_counterexample () =
       check_bool "counterexample really violates safety" false
         (Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
 
-let explore_selfish ?cache ?cache_capacity ?por ?symmetry ?domains engine =
+let explore_selfish ?cache ?cache_capacity ?dpor ?symmetry engine =
   let check r =
     Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history
   in
@@ -396,7 +396,7 @@ let explore_selfish ?cache ?cache_capacity ?por ?symmetry ?domains engine =
         ()
   | `Incremental ->
       Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:6 ?cache
-        ?cache_capacity ?por ?symmetry ?domains ~check ()
+        ?cache_capacity ?dpor ?symmetry ~check ()
 
 let selfish_witness =
   (* The lexicographically least failing script: in the canonical menu
@@ -420,22 +420,18 @@ let decision_testable =
     ( = )
 
 let test_explore_witness_is_deterministic () =
-  (* Satellite (c): every engine configuration — naive, incremental,
-     cache off, several domains — reports the same counterexample, the
-     one with the lexicographically least decision script. *)
+  (* Every engine configuration — naive, incremental, cache off or
+     bounded, reductions on — reports the same counterexample, the one
+     with the lexicographically least decision script. *)
   let configs =
     [
       ("naive", explore_selfish `Naive);
       ("incremental", explore_selfish `Incremental);
       ("no-cache", explore_selfish ~cache:false `Incremental);
       ("bounded-cache", explore_selfish ~cache_capacity:4 `Incremental);
-      ("por", explore_selfish ~por:true `Incremental);
+      ("dpor", explore_selfish ~dpor:true `Incremental);
       ("symmetry", explore_selfish ~symmetry:true `Incremental);
-      ("por+symmetry", explore_selfish ~por:true ~symmetry:true `Incremental);
-      ("domains-3", explore_selfish ~domains:3 `Incremental);
-      ("domains-8", explore_selfish ~domains:8 `Incremental);
-      ( "por+symmetry domains-3",
-        explore_selfish ~por:true ~symmetry:true ~domains:3 `Incremental );
+      ("dpor+symmetry", explore_selfish ~dpor:true ~symmetry:true `Incremental);
     ]
   in
   List.iter
@@ -483,12 +479,12 @@ let test_explore_reduction_stats () =
     Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history
   in
   let factory () = Slx_consensus.Register_consensus.factory () in
-  let explore ?cache_capacity ?(por = false) ?(symmetry = false) () =
+  let explore ?cache_capacity ?(dpor = false) ?(symmetry = false) () =
     Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:10
-      ?cache_capacity ~por ~symmetry ~check ()
+      ?cache_capacity ~dpor ~symmetry ~check ()
   in
   let plain = explore () in
-  let reduced = explore ~por:true ~symmetry:true () in
+  let reduced = explore ~dpor:true ~symmetry:true () in
   let bounded = explore ~cache_capacity:8 () in
   let safe e =
     match e.Explore.outcome with
@@ -498,7 +494,7 @@ let test_explore_reduction_stats () =
   check_bool "register consensus safe under reductions" true
     (safe plain && safe reduced && safe bounded);
   let s = reduced.Explore.stats in
-  check_bool "POR put processes to sleep" true (s.Explore_stats.por_prunes > 0);
+  check_bool "DPOR put processes to sleep" true (s.Explore_stats.por_prunes > 0);
   check_bool "symmetry pruned untouched-process decisions" true
     (s.Explore_stats.symmetry_pruned > 0);
   check_bool "reductions cut executed steps" true
@@ -519,90 +515,76 @@ let test_explore_reduction_stats () =
     (b.Explore_stats.history_digest
     = plain.Explore.stats.Explore_stats.history_digest)
 
-let test_explore_parallel_matches_sequential () =
-  let check r =
-    Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history
-  in
-  let factory () = Slx_consensus.Cas_consensus.factory () in
-  let seq =
-    Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:10 ~check ()
-  in
-  let par =
-    Explore.explore ~n:2 ~factory ~invoke:one_proposal ~depth:10 ~domains:3
-      ~check ()
-  in
-  (match (seq.Explore.outcome, par.Explore.outcome) with
-  | Explore.Ok a, Explore.Ok b -> check_int "same run count" a b
-  | _ -> Alcotest.fail "CAS consensus must be safe in both engines");
-  check_bool "same history digest" true
-    (seq.Explore.stats.Explore_stats.history_digest
-    = par.Explore.stats.Explore_stats.history_digest);
-  check_bool "fanned out" true (par.Explore.stats.Explore_stats.domains_used > 1);
-  let sum rows = List.fold_left ( + ) 0 (Explore_stats.values rows) in
-  check_int "per-domain runs sum to the total"
-    par.Explore.stats.Explore_stats.runs
-    (sum par.Explore.stats.Explore_stats.per_domain_runs);
-  check_int "per-domain steps sum to the total"
-    par.Explore.stats.Explore_stats.steps_executed
-    (sum par.Explore.stats.Explore_stats.per_domain_steps);
-  check_int "one per-domain entry per domain"
-    par.Explore.stats.Explore_stats.domains_used
-    (List.length par.Explore.stats.Explore_stats.per_domain_steps);
-  check_int "per-domain rows are index-tagged in spawn order" 0
-    (fst (List.hd par.Explore.stats.Explore_stats.per_domain_steps));
-  check_bool "exploration measured its own wall clock" true
-    (par.Explore.stats.Explore_stats.elapsed_ns >= 0
-    && seq.Explore.stats.Explore_stats.elapsed_ns >= 0);
-  check_int "no telemetry, no drops" 0
-    (par.Explore.stats.Explore_stats.events_dropped)
+let test_explore_rejects_wide_systems () =
+  (* Sleep sets travel as one-word bitsets (transposition keys and
+     frontier seeds), so process ids must fit a word: n >= 62 is an
+     explicit error, never a silent change of engine. *)
+  match
+    Explore.explore ~n:62
+      ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
+      ~invoke:one_proposal ~depth:1
+      ~check:(fun _ -> true)
+      ()
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "n = 62 must raise Invalid_argument"
 
-let test_stats_merge_out_of_order () =
-  (* The per-domain rows are keyed by spawn index, so merging partial
-     stats in any arrival order must yield the same spawn-ordered
-     report — the bug this guards against is a join that concatenates
-     lists positionally and silently misattributes domains. *)
+let test_cli_engine_flags () =
+  (* Each explorer has one engine configuration: the retired mode
+     switches are usage errors (cmdliner exit 124), while the remaining
+     reduction and cache switches still run. *)
+  let slx args =
+    Sys.command
+      (Printf.sprintf "../bin/slx_cli.exe %s >/dev/null 2>&1" args)
+  in
+  List.iter
+    (fun args ->
+      check_int (Printf.sprintf "slx %s is rejected" args) 124 (slx args))
+    [
+      "explore --depth 4 --naive";
+      "explore --depth 4 --no-por";
+      "explore --depth 4 --no-compact";
+      "explore --depth 4 --domains 2";
+      "explore --depth 4 -j 2";
+      "explore --depth 4 --bitstate 20";
+      "live-explore --depth 4 --no-cache";
+      "live-explore --depth 4 --cache-capacity 64";
+      "live-explore --depth 4 --no-compact";
+    ];
+  List.iter
+    (fun args -> check_int (Printf.sprintf "slx %s runs" args) 0 (slx args))
+    [
+      "explore --depth 4";
+      "explore --depth 4 --no-dpor --no-symmetry --no-cache";
+      "explore --depth 4 --cache-capacity 16";
+      "live-explore --depth 4";
+      "live-explore --depth 4 --no-dpor --max-period 1";
+    ]
+
+let test_stats_merge_pointwise () =
   let partial index runs steps =
     {
       Explore_stats.zero with
       Explore_stats.runs;
       steps_executed = steps;
-      domains_used = 3;
       elapsed_ns = 10;
       events_dropped = index;
       hb_edges = runs;
       commutation_checks = steps;
       footprint_violations = index;
-      per_domain_runs = [ (index, runs) ];
-      per_domain_steps = [ (index, steps) ];
     }
   in
   let d0 = partial 0 5 50 and d1 = partial 1 7 70 and d2 = partial 2 3 30 in
-  let forward =
-    Explore_stats.merge (Explore_stats.merge d0 d1) d2
-  in
-  let scrambled =
-    Explore_stats.merge d2 (Explore_stats.merge d1 d0)
-  in
-  let pairs =
-    Alcotest.(check (list (pair int int)))
-  in
-  pairs "runs rows land in spawn order regardless of merge order"
-    [ (0, 5); (1, 7); (2, 3) ]
-    scrambled.Explore_stats.per_domain_runs;
-  pairs "steps rows land in spawn order regardless of merge order"
-    forward.Explore_stats.per_domain_steps
-    scrambled.Explore_stats.per_domain_steps;
-  check_int "scalar counters merge pointwise" 15 scrambled.Explore_stats.runs;
-  check_int "elapsed sums" 30 scrambled.Explore_stats.elapsed_ns;
-  check_int "drops sum" 3 scrambled.Explore_stats.events_dropped;
-  check_int "hb edges sum" 15 scrambled.Explore_stats.hb_edges;
+  let merged = Explore_stats.merge d2 (Explore_stats.merge d1 d0) in
+  check_int "runs sum" 15 merged.Explore_stats.runs;
+  check_int "steps sum" 150 merged.Explore_stats.steps_executed;
+  check_int "elapsed sums" 30 merged.Explore_stats.elapsed_ns;
+  check_int "drops sum" 3 merged.Explore_stats.events_dropped;
+  check_int "hb edges sum" 15 merged.Explore_stats.hb_edges;
   check_int "commutation checks sum" 150
-    scrambled.Explore_stats.commutation_checks;
+    merged.Explore_stats.commutation_checks;
   check_int "footprint violations sum" 3
-    scrambled.Explore_stats.footprint_violations;
-  Alcotest.(check (list int))
-    "values strips the indices in spawn order" [ 50; 70; 30 ]
-    (Explore_stats.values scrambled.Explore_stats.per_domain_steps)
+    merged.Explore_stats.footprint_violations
 
 (* One start-tryC transaction per process, derived from the history. *)
 let one_txn view p =
@@ -752,8 +734,9 @@ let suites =
         quick "deterministic least witness" test_explore_witness_is_deterministic;
         quick "stats sanity" test_explore_stats_sanity;
         quick "reduction + eviction stats" test_explore_reduction_stats;
-        quick "parallel matches sequential" test_explore_parallel_matches_sequential;
-        quick "stats merge out of order" test_stats_merge_out_of_order;
+        quick "n >= 62 rejected" test_explore_rejects_wide_systems;
+        quick "CLI retired engine flags rejected" test_cli_engine_flags;
+        quick "stats merge pointwise" test_stats_merge_pointwise;
       ] );
     ( "core-clock-cache",
       [

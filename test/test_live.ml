@@ -84,18 +84,18 @@ let test_witness_deterministic_across_configs () =
   let point = Freedom.make ~l:1 ~k:2 in
   let base = lasso_exn "base" (search_register ~depth:8 point) in
   let again = lasso_exn "again" (search_register ~depth:8 point) in
-  let no_cache =
-    lasso_exn "no cache"
+  let reduced =
+    lasso_exn "dpor"
       (Live_explore.search ~n:2
          ~factory:(fun () -> reg_factory ())
-         ~invoke ~good ~point ~depth:8 ~cache:false ())
+         ~invoke ~good ~point ~depth:8 ~dpor:true ())
   in
   check_bool "same stem on a re-run" true (base.Lasso.c_stem = again.Lasso.c_stem);
   check_bool "same cycle on a re-run" true
     (base.Lasso.c_cycle = again.Lasso.c_cycle);
-  check_bool "cache does not change the witness" true
-    (base.Lasso.c_stem = no_cache.Lasso.c_stem
-    && base.Lasso.c_cycle = no_cache.Lasso.c_cycle)
+  check_bool "dpor does not change the witness" true
+    (base.Lasso.c_stem = reduced.Lasso.c_stem
+    && base.Lasso.c_cycle = reduced.Lasso.c_cycle)
 
 let test_invoke_order_reduction_sound () =
   let point = Freedom.make ~l:1 ~k:2 in
@@ -117,6 +117,41 @@ let test_invoke_order_reduction_sound () =
   check_bool "fewer or equal nodes with the reduction" true
     (reduced.Live_explore.stats.Explore_stats.nodes
     <= full.Live_explore.stats.Explore_stats.nodes)
+
+let test_clean_tree_independent_of_max_period () =
+  (* The search keeps no suffix cache, so [max_period] only bounds the
+     candidate cycles examined: on a leg with no fair cycle every
+     setting walks the same tree, node for node. *)
+  let walk name search =
+    let shape mp =
+      let r = search mp in
+      (match r.Live_explore.outcome with
+      | Live_explore.No_fair_cycle -> ()
+      | Live_explore.Lasso _ ->
+          Alcotest.failf "%s: expected no fair cycle" name);
+      ( r.Live_explore.stats.Explore_stats.runs,
+        r.Live_explore.stats.Explore_stats.nodes )
+    in
+    let runs, nodes = shape None in
+    List.iter
+      (fun mp ->
+        let runs', nodes' = shape (Some mp) in
+        check_int (Printf.sprintf "%s: runs at max_period %d" name mp) runs
+          runs';
+        check_int (Printf.sprintf "%s: nodes at max_period %d" name mp) nodes
+          nodes')
+      [ 1; 2; 3; 5 ]
+  in
+  walk "register (1,1) d10" (fun max_period ->
+      Live_explore.search ~n:2
+        ~factory:(fun () -> reg_factory ~depth:10 ())
+        ~invoke ~good ~point:Freedom.obstruction_freedom ~depth:10
+        ~max_crashes:1 ?max_period ~dpor:true ());
+  walk "cas (2,2) d10" (fun max_period ->
+      Live_explore.search ~n:2
+        ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
+        ~invoke ~good ~point:(Freedom.make ~l:2 ~k:2) ~depth:10
+        ~max_crashes:1 ?max_period ~dpor:true ())
 
 (* ------------------------------------------------------------------ *)
 (* Certificate mechanics.                                              *)
@@ -282,6 +317,8 @@ let suites =
         quick "witness deterministic across configs"
           test_witness_deterministic_across_configs;
         quick "invoke-order reduction sound" test_invoke_order_reduction_sound;
+        quick "clean tree independent of max_period"
+          test_clean_tree_independent_of_max_period;
       ] );
     ( "live-explore: certificates",
       [

@@ -15,7 +15,7 @@ module Trace_export = Slx_obs.Trace_export
 (* Ring sinks.                                                         *)
 
 let test_ring_wraparound () =
-  let r = Telemetry.ring ~capacity:4 ~domain:0 () in
+  let r = Telemetry.ring ~capacity:4 () in
   let sink = Telemetry.sink_of_ring r in
   for i = 1 to 10 do
     Telemetry.emit sink Telemetry.Run_checked i 0
@@ -27,9 +27,6 @@ let test_ring_wraparound () =
   Alcotest.(check (list int))
     "oldest events are the ones overwritten" [ 7; 8; 9; 10 ]
     (List.map (fun e -> e.Telemetry.ev_a) events);
-  List.iter
-    (fun e -> check_int "events carry the ring's domain" 0 e.Telemetry.ev_domain)
-    events;
   let rec monotone = function
     | a :: (b :: _ as tl) ->
         check_bool "timestamps are non-decreasing" true
@@ -40,7 +37,7 @@ let test_ring_wraparound () =
   monotone events
 
 let test_ring_below_capacity () =
-  let r = Telemetry.ring ~capacity:8 ~domain:3 () in
+  let r = Telemetry.ring ~capacity:8 () in
   let sink = Telemetry.sink_of_ring r in
   for i = 1 to 5 do
     Telemetry.emit sink Telemetry.Cache_hit i (10 * i)
@@ -50,7 +47,7 @@ let test_ring_below_capacity () =
   check_bool "ring sinks are enabled" true (Telemetry.enabled sink);
   check_bool "the null sink is disabled" false (Telemetry.enabled Telemetry.null);
   (* Emitting into the null sink must be a no-op (and not crash). *)
-  Telemetry.emit Telemetry.null Telemetry.Steal 1 2
+  Telemetry.emit Telemetry.null Telemetry.Cycle_candidate 1 2
 
 let test_dec_codes () =
   Alcotest.(check string) "schedule" "S1" (Telemetry.Dec.pp (Telemetry.Dec.schedule 1));
@@ -100,8 +97,7 @@ let test_json_rejects_garbage () =
 (* ------------------------------------------------------------------ *)
 (* Chrome-trace export and validation.                                 *)
 
-let ev ?(domain = 0) ns kind a b =
-  { Telemetry.ev_ns = ns; ev_domain = domain; ev_kind = kind; ev_a = a; ev_b = b }
+let ev ns kind a b = { Telemetry.ev_ns = ns; ev_kind = kind; ev_a = a; ev_b = b }
 
 let test_trace_export_well_formed () =
   let events =
@@ -111,8 +107,8 @@ let test_trace_export_well_formed () =
       ev 120 Telemetry.Node_enter 1 0;
       ev 130 Telemetry.Cache_hit 1 3;
       ev 140 Telemetry.Node_leave 1 0;
-      ev 150 Telemetry.Frontier_push 7 1;
-      ev 160 ~domain:1 Telemetry.Steal 7 0;
+      ev 150 Telemetry.Symmetry_prune 1 1;
+      ev 160 Telemetry.Race_reversal 1 1;
       ev 170 Telemetry.Pump_start 2 0;
       ev 180 Telemetry.Pump_verdict 2 1;
       ev 190 Telemetry.Node_leave 0 0;
@@ -131,9 +127,6 @@ let test_trace_export_well_formed () =
           check_int "pump spans balance" 1 (Trace_export.span_count sm "pump");
           check_int "cache hit instant" 1
             (Trace_export.instant_count sm "cache_hit");
-          check_int "one flow start" 1 sm.Trace_export.sm_flow_starts;
-          check_int "one flow end" 1 sm.Trace_export.sm_flow_ends;
-          check_int "two lanes" 2 sm.Trace_export.sm_lanes;
           check_int "dropped count survives" 5 sm.Trace_export.sm_dropped
     end
 
@@ -142,21 +135,11 @@ let test_trace_validate_rejects_unbalanced () =
     [ ev 100 Telemetry.Node_enter 0 0; ev 110 Telemetry.Node_enter 1 0;
       ev 120 Telemetry.Node_leave 1 0 ]
   in
-  (match
-     Json.parse (Trace_export.to_string ~events_dropped:0 unbalanced)
-   with
+  match Json.parse (Trace_export.to_string ~events_dropped:0 unbalanced) with
   | Ok json -> begin
       match Trace_export.validate json with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "validator accepted an open span"
-    end
-  | Error e -> Alcotest.failf "unexpected parse error: %s" e);
-  let orphan_flow = [ ev 100 ~domain:2 Telemetry.Steal 9 0 ] in
-  match Json.parse (Trace_export.to_string ~events_dropped:0 orphan_flow) with
-  | Ok json -> begin
-      match Trace_export.validate json with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "validator accepted a flow end without start"
     end
   | Error e -> Alcotest.failf "unexpected parse error: %s" e
 
@@ -168,53 +151,44 @@ let one_proposal =
     (Slx_sim.Driver.n_times 1 (fun p _ ->
          Slx_consensus.Consensus_type.Propose (p - 1)))
 
-let explore_register ?cache ?cache_capacity ?(por = false) ?(symmetry = false)
-    ?domains ?obs () =
+let explore_register ?cache ?cache_capacity ?(dpor = false) ?(symmetry = false)
+    ?obs () =
   Explore.explore ~n:2
     ~factory:(fun () -> Slx_consensus.Register_consensus.factory ())
-    ~invoke:one_proposal ~depth:8 ?cache ?cache_capacity ~por ~symmetry
-    ?domains ?obs
+    ~invoke:one_proposal ~depth:8 ?cache ?cache_capacity ~dpor ~symmetry ?obs
     ~check:(fun r ->
       Slx_consensus.Consensus_safety.check r.Slx_sim.Run_report.history)
     ()
 
-let essence ~steps e =
+let essence e =
   let s = e.Explore.stats in
   ( (match e.Explore.outcome with
     | Explore.Ok runs -> ("ok", runs)
     | Explore.Counterexample _ -> ("cex", 0)),
     s.Explore_stats.runs,
-    (if steps then s.Explore_stats.steps_executed else 0),
+    s.Explore_stats.steps_executed,
     s.Explore_stats.history_digest )
 
 let test_tracing_does_not_change_verdicts () =
-  (* [steps_executed] is scheduling-dependent in the parallel engine
-     (per-domain transposition caches split differently run to run), so
-     it is only compared for the deterministic sequential configs; the
-     verdict, run count and history digest must match everywhere. *)
   let configs =
     [
-      ("plain", true, fun obs -> explore_register ~obs ());
-      ("no-cache", true, fun obs -> explore_register ~cache:false ~obs ());
-      ( "bounded-cache",
-        true,
-        fun obs -> explore_register ~cache_capacity:8 ~obs () );
-      ( "por+symmetry",
-        true,
-        fun obs -> explore_register ~por:true ~symmetry:true ~obs () );
-      ("domains-3", false, fun obs -> explore_register ~domains:3 ~obs ());
+      ("plain", fun obs -> explore_register ~obs ());
+      ("no-cache", fun obs -> explore_register ~cache:false ~obs ());
+      ("bounded-cache", fun obs -> explore_register ~cache_capacity:8 ~obs ());
+      ( "dpor+symmetry",
+        fun obs -> explore_register ~dpor:true ~symmetry:true ~obs () );
     ]
   in
   List.iter
-    (fun (name, steps, run) ->
+    (fun (name, run) ->
       (* A bundle is single-shot, so each run gets its own. *)
       let untraced = run (Obs.create ()) in
       let traced = run (Obs.create ~tracing:true ()) in
       Alcotest.(check (pair (pair (pair string int) int) (pair int int)))
         (name ^ ": tracing changes nothing the engine computes")
-        (let a, b, c, d = essence ~steps untraced in
+        (let a, b, c, d = essence untraced in
          (((fst a, snd a), b), (c, d)))
-        (let a, b, c, d = essence ~steps traced in
+        (let a, b, c, d = essence traced in
          (((fst a, snd a), b), (c, d))))
     configs
 
@@ -249,24 +223,6 @@ let test_traced_events_reconcile_with_stats () =
           check_int "exported cache hits match the stats"
             s.Explore_stats.cache_hits
             (Trace_export.instant_count sm "cache_hit")
-    end
-
-let test_traced_steals_have_flow_starts () =
-  let obs = Obs.create ~tracing:true () in
-  let e = explore_register ~domains:2 ~obs () in
-  let s = e.Explore.stats in
-  match Json.parse (Obs.trace_string obs) with
-  | Error err -> Alcotest.failf "parallel trace does not parse: %s" err
-  | Ok json -> begin
-      match Trace_export.validate json with
-      | Error err ->
-          Alcotest.failf "parallel trace does not validate: %s" err
-      | Ok sm ->
-          (* validate already proved every flow end has a start. *)
-          check_int "one flow end per steal" s.Explore_stats.steals
-            sm.Trace_export.sm_flow_ends;
-          check_bool "spans balance on every lane" true
-            (Trace_export.span_count sm "node" = s.Explore_stats.nodes)
     end
 
 let test_live_search_traced_matches_untraced () =
@@ -373,7 +329,6 @@ let suites =
         quick "tracing changes no verdict" test_tracing_does_not_change_verdicts;
         quick "events reconcile with stats"
           test_traced_events_reconcile_with_stats;
-        quick "steal flows are anchored" test_traced_steals_have_flow_starts;
         quick "live search traced = untraced"
           test_live_search_traced_matches_untraced;
       ] );

@@ -207,10 +207,10 @@ let test_engine_mismatch () =
     && List.length (Store.records st') = 1)
 
 let test_qid_binds_flags () =
-  let base ?por ?dpor ?symmetry ?invoke_order ?proviso_bound
+  let base ?dpor ?symmetry ?invoke_order ?proviso_bound
       ?(registry_digest = 99) () =
     Persist.query_key ~ident:"cas" ~check:"consensus-safety" ~n:2
-      ~registry_digest ?por ?dpor ?symmetry ?invoke_order ?proviso_bound ()
+      ~registry_digest ?dpor ?symmetry ?invoke_order ?proviso_bound ()
   in
   let q0 = base () in
   List.iteri
@@ -218,7 +218,6 @@ let test_qid_binds_flags () =
       check_bool (Printf.sprintf "flag variant %d lands on a fresh qid" i)
         false (q = q0))
     [
-      base ~por:true ();
       base ~dpor:true ();
       base ~symmetry:true ();
       base ~invoke_order:true ();
@@ -235,7 +234,7 @@ let test_qid_binds_flags () =
     { (List.hd sample_records) with Store.r_qid = q0; r_depth = 5 };
   check_bool "exact qid hits" true (Store.find st ~qid:q0 ~depth:5 <> None);
   check_bool "flag-variant qid misses" true
-    (Store.find st ~qid:(base ~por:true ()) ~depth:5 = None)
+    (Store.find st ~qid:(base ~dpor:true ()) ~depth:5 = None)
 
 let test_supersede_and_resumable () =
   let path = temp_store () in
@@ -292,11 +291,11 @@ let pp_consensus_inv (Slx_consensus.Consensus_type.Propose v) =
 let safety_qid ~ident ~factory =
   Persist.query_key ~ident ~check:"consensus-safety" ~n:2
     ~registry_digest:(Persist.instance_digest ~n:2 ~factory)
-    ~por:true ~dpor:true ~symmetry:true ()
+    ~dpor:true ~symmetry:true ()
 
 let run_safety ~store ~qid ~factory ~depth () =
   Persist.run_explore ~store ~qid ~n:2 ~factory ~invoke:safety_invoke ~depth
-    ~por:true ~dpor:true ~symmetry:true ~check:consensus_check ()
+    ~dpor:true ~symmetry:true ~check:consensus_check ()
 
 let test_persist_cold_warm_resume () =
   let path = temp_store () in
@@ -304,7 +303,7 @@ let test_persist_cold_warm_resume () =
   let qid = safety_qid ~ident:"cas" ~factory:cas_factory in
   let plain depth =
     Explore.explore ~n:2 ~factory:cas_factory ~invoke:safety_invoke ~depth
-      ~por:true ~dpor:true ~symmetry:true ~check:consensus_check ()
+      ~dpor:true ~symmetry:true ~check:consensus_check ()
   in
   let runs_of e =
     match e.Explore.outcome with
@@ -369,19 +368,24 @@ let test_persist_corrupt_fallback () =
     | Explore.Ok a, Explore.Ok b -> a = b
     | _ -> false)
 
-let test_persist_bitstate_bypass () =
+let test_previous_engine_answers_cold () =
+  (* Engine 8 stores predate the live search losing its suffix cache:
+     their live run counts at a small max period described a
+     cache-pruned tree.  Such a store must be discarded whole and the
+     query answered cold, never served warm. *)
+  let previous = Printf.sprintf "slx-engine-8+ocaml-%s" Sys.ocaml_version in
+  check_bool "the engine tag moved on" true (previous <> Store.engine_version);
   let path = temp_store () in
-  let st = Store.open_ path in
   let qid = safety_qid ~ident:"cas" ~factory:cas_factory in
-  let _, src =
-    Persist.run_explore ~store:st ~qid ~n:2 ~factory:cas_factory
-      ~invoke:safety_invoke ~depth:6 ~por:true ~dpor:true ~symmetry:true
-      ~bitstate:12 ~check:consensus_check ()
-  in
-  check_bool "bitstate runs bypass the store" true
-    (src = Persist.Uncached "bitstate");
-  check_bool "and leave no record behind" true (Store.records st = []);
-  check_bool "and no counters" true ((Store.counters st).Store.c_queries = 0)
+  let old = Store.open_ ~engine_version:previous path in
+  let _ = run_safety ~store:old ~qid ~factory:cas_factory ~depth:6 () in
+  check_bool "the old engine wrote its record" true (Store.records old <> []);
+  let st = Store.open_ path in
+  check_bool "whole file invalidated" true
+    ((Store.health st).Store.h_invalidated <> None);
+  Alcotest.(check int) "no record survives" 0 (List.length (Store.records st));
+  let _, src = run_safety ~store:st ~qid ~factory:cas_factory ~depth:6 () in
+  check_bool "the query answers cold" true (src = Persist.Cold)
 
 (* Liveness: cold/warm/resume with pinned pump budget, and lasso
    re-validation on the Theorem 5.2 register certificate. *)
@@ -429,6 +433,44 @@ let test_persist_live_cold_warm_resume () =
   Alcotest.(check int) "resumed run count = storeless"
     (plain 8).Live_explore.stats.Explore_stats.runs
     deep.Live_explore.stats.Explore_stats.runs
+
+let test_persist_live_small_max_period () =
+  (* With a max period below the depth-derived default, a stored and
+     resumed live search counts the same unreduced tree as a plain one:
+     the CAS (2,2) leg's recorded 1557 runs at depth 10. *)
+  let path = temp_store () in
+  let st = Store.open_ path in
+  let point = Freedom.make ~l:2 ~k:2 in
+  let qid = live_qid ~ident:"cas" ~factory:cas_factory ~point in
+  let good (_ : Slx_consensus.Consensus_type.response) = true in
+  let run depth =
+    Persist.run_live ~store:st ~qid ~n:2 ~factory:cas_factory
+      ~invoke:live_invoke ~good ~point ~depth ~max_crashes:1 ~max_period:3
+      ~pump_ticks:40 ~dpor:true ()
+  in
+  let plain ?max_period depth =
+    Live_explore.search ~n:2 ~factory:cas_factory ~invoke:live_invoke ~good
+      ~point ~depth ~max_crashes:1 ?max_period ~pump_ticks:40 ~dpor:true ()
+  in
+  let runs r = r.Live_explore.stats.Explore_stats.runs in
+  let clean name r =
+    check_bool (name ^ ": no fair cycle") true
+      (r.Live_explore.outcome = Live_explore.No_fair_cycle)
+  in
+  let _, src = run 8 in
+  check_bool "shallow leg is cold" true (src = Persist.Cold);
+  let deep, src = run 10 in
+  check_bool "deep leg resumes" true (src = Persist.Resumed 8);
+  clean "resumed" deep;
+  Alcotest.(check int) "resumed runs = storeless at max period 3"
+    (runs (plain ~max_period:3 10))
+    (runs deep);
+  Alcotest.(check int) "resumed runs = storeless at the default period"
+    (runs (plain 10)) (runs deep);
+  Alcotest.(check int) "resumed runs = recorded" 1557 (runs deep);
+  let warm, src = run 10 in
+  check_bool "re-query is warm" true (src = Persist.Warm);
+  clean "warm" warm
 
 let test_persist_lasso_warm () =
   let path = temp_store () in
@@ -609,10 +651,12 @@ let suites =
           test_persist_witness_warm;
         Alcotest.test_case "corrupt store falls back cold" `Quick
           test_persist_corrupt_fallback;
-        Alcotest.test_case "bitstate bypasses the store" `Quick
-          test_persist_bitstate_bypass;
+        Alcotest.test_case "previous engine version answers cold" `Quick
+          test_previous_engine_answers_cold;
         Alcotest.test_case "live cold, warm, resume" `Quick
           test_persist_live_cold_warm_resume;
+        Alcotest.test_case "live resume at a small max period" `Quick
+          test_persist_live_small_max_period;
         Alcotest.test_case "lasso re-validated warm" `Quick
           test_persist_lasso_warm;
       ] );
