@@ -793,7 +793,7 @@ let e20_fair_cycle_cross_validation () =
     (List.for_all Fun.id agreements);
   (* The acceptance witness in full: the (1,2) lasso at depth 8, and
      its absence for (1,1) under a solo window. *)
-  let factory () = Slx_consensus.Register_consensus.factory ~max_rounds:16 () in
+  let factory () = Slx_consensus.Register_consensus.factory () in
   let invoke =
     Explore.workload_invoke
       (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))

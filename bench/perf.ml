@@ -256,11 +256,6 @@ let micro_tests =
              (Hashtbl.find_opt compact_table
                 (Slx_core.Intern.Ints.intern keys
                    (Runner.Cursor.compact_key cursor ~extra:[ 0 ])))));
-    Test.make ~name:"micro/shared-digest-full-fold"
-      (Staged.stage (fun () ->
-           ignore (Runner.Cursor.shared_digest_full cursor)));
-    Test.make ~name:"micro/shared-digest-incremental"
-      (Staged.stage (fun () -> ignore (Runner.Cursor.shared_digest cursor)));
     Test.make ~name:"micro/commute-footprints"
       (Staged.stage (fun () -> ignore (Runtime.footprints_commute fp_a fp_b)));
     Test.make ~name:"micro/commute-masks"

@@ -110,7 +110,7 @@ let explore_dpor ~impl ~factory ~depth ~max_crashes =
    the work counters emitted as the BENCH_explore.json "live" rows. *)
 let live_smoke () =
   Printf.printf "== bench smoke: fair-cycle search (live explorer) ==\n";
-  let factory () = Slx_consensus.Register_consensus.factory ~max_rounds:16 () in
+  let factory () = Slx_consensus.Register_consensus.factory () in
   let invoke =
     Slx_core.Explore.workload_invoke
       (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
@@ -160,7 +160,7 @@ let live_smoke () =
    BENCH_explore.json "dpor" live rows. *)
 let live_dpor_smoke () =
   Printf.printf "== bench smoke: cycle-proviso DPOR (live explorer) ==\n";
-  let factory () = Slx_consensus.Register_consensus.factory ~max_rounds:16 () in
+  let factory () = Slx_consensus.Register_consensus.factory () in
   let invoke =
     Slx_core.Explore.workload_invoke
       (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
@@ -264,7 +264,7 @@ let reconcile name pairs =
   bad = []
 
 let obs_live_smoke () =
-  let factory () = Slx_consensus.Register_consensus.factory ~max_rounds:16 () in
+  let factory () = Slx_consensus.Register_consensus.factory () in
   let invoke =
     Slx_core.Explore.workload_invoke
       (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
@@ -375,8 +375,8 @@ let obs_smoke () =
    instrumented implementations, and — now that shadow checks are
    batched per step (one packed store per touch, validated at step
    end) instead of per-touch — stay within the 15% bar that makes
-   [--sanitize] the CI default.  (Measured: within noise; the bar
-   leaves headroom for loaded CI runners.) *)
+   [--sanitize] the CI default.  (Measured: a median of about 1% of a
+   0.1 ms leg; the bar leaves headroom for loaded CI runners.) *)
 let sanitize_overhead_smoke () =
   Printf.printf "== bench smoke: sanitizer overhead (counting shadow) ==\n";
   let explore ~sanitize () =
@@ -419,17 +419,13 @@ let sanitize_overhead_smoke () =
       "  SMOKE FAILURE: sanitizer overhead %.1f%% above the 15%% bar\n" pct;
   agree && pct <= 15.0
 
-(* Hot-path microbenchmarks: the two operations the compact-encoding
-   pass rewrote, gated at >= 2x each — per-node transposition keying
-   (the seed's path: structural fingerprint over a from-scratch
-   shared-state digest fold, vs the new path: compact key over the
-   incremental digest, interned to one dense int) and pending-step
-   commutation (footprint list walk vs conflict bitmask).  Best-of-N
-   tight loops on the monotonic clock; [Sys.opaque_identity] keeps the
-   optimizer from deleting the measured body. *)
+(* Hot-path microbenchmark, gated at >= 2x: pending-step commutation
+   (footprint list walk vs conflict bitmask).  Best-of-N tight loops on
+   the monotonic clock; [Sys.opaque_identity] keeps the optimizer from
+   deleting the measured body. *)
 let micro_smoke () =
   Printf.printf
-    "== bench smoke: hot-path microbenchmarks (compact encodings) ==\n";
+    "== bench smoke: hot-path microbenchmark (commutation masks) ==\n";
   let time_ns ~iters f =
     let best = ref max_int in
     for _ = 1 to 5 do
@@ -442,49 +438,6 @@ let micro_smoke () =
     done;
     float_of_int !best /. float_of_int iters
   in
-  (* A mid-tree register-consensus cursor, the configuration shape the
-     engine keys at every node.  The factory preallocates its rounds
-     (thousands of registers), which is exactly why the seed's
-     from-scratch digest fold dominated the hot loop. *)
-  let cursor =
-    let c =
-      Runner.Cursor.create ~n:2
-        ~factory:(Slx_consensus.Register_consensus.factory ())
-        ()
-    in
-    List.iter (Runner.Cursor.apply c)
-      [
-        Driver.Invoke (1, Slx_consensus.Consensus_type.Propose 0);
-        Driver.Schedule 1;
-        Driver.Invoke (2, Slx_consensus.Consensus_type.Propose 1);
-        Driver.Schedule 2;
-        Driver.Schedule 1;
-      ];
-    c
-  in
-  let struct_table = Hashtbl.create 64 in
-  Hashtbl.replace struct_table (Runner.Cursor.fingerprint cursor) 1;
-  let keys = Slx_core.Intern.Ints.create () in
-  let compact_table = Hashtbl.create 64 in
-  Hashtbl.replace compact_table
-    (Slx_core.Intern.Ints.intern keys
-       (Runner.Cursor.compact_key cursor ~extra:[ 0 ]))
-    1;
-  (* Seed path: every visit re-folded the whole registry (the full
-     digest is recomputed here exactly as the seed did per node) and
-     keyed the cache on the structural fingerprint. *)
-  let structural_ns =
-    time_ns ~iters:100 (fun () ->
-        ignore (Sys.opaque_identity (Runner.Cursor.shared_digest_full cursor));
-        Hashtbl.find_opt struct_table (Runner.Cursor.fingerprint cursor))
-  in
-  let compact_ns =
-    time_ns ~iters:20_000 (fun () ->
-        Hashtbl.find_opt compact_table
-          (Slx_core.Intern.Ints.intern keys
-             (Runner.Cursor.compact_key cursor ~extra:[ 0 ])))
-  in
-  let fp_ratio = structural_ns /. compact_ns in
   let fp_a =
     Runtime.of_accesses
       [
@@ -510,20 +463,15 @@ let micro_smoke () =
   in
   let commute_ratio = list_ns /. mask_ns in
   Printf.printf
-    "  {\"case\": \"node-keying-seed-vs-compact\", \"seed_full_fold_ns\": \
-     %.1f, \"compact_incremental_ns\": %.1f, \"ratio\": %.2f}\n"
-    structural_ns compact_ns fp_ratio;
-  Printf.printf
     "  {\"case\": \"pending-commutation-check\", \"footprint_ns\": %.1f, \
      \"mask_ns\": %.1f, \"ratio\": %.2f}\n"
     list_ns mask_ns commute_ratio;
-  let ok = fp_ratio >= 2.0 && commute_ratio >= 2.0 in
+  let ok = commute_ratio >= 2.0 in
   if not ok then
     Printf.printf
-      "  SMOKE FAILURE: microbenchmark ratios below the 2x bar (fingerprint \
-       %.2fx, commute %.2fx)\n"
-      fp_ratio commute_ratio;
-  (ok, fp_ratio, commute_ratio)
+      "  SMOKE FAILURE: commutation micro below the 2x bar (%.2fx)\n"
+      commute_ratio;
+  (ok, commute_ratio)
 
 (* Transposition-cache identity: the cached engine must reproduce the
    uncached one's exploration exactly (same runs, digest and verdict —
@@ -669,7 +617,7 @@ let run () =
   let live_dpor_ok, live_node_ratio, live_step_ratio = live_dpor_smoke () in
   let obs_ok = obs_smoke () in
   let san_ok = sanitize_overhead_smoke () in
-  let micro_ok, fp_ratio, commute_ratio = micro_smoke () in
+  let micro_ok, commute_ratio = micro_smoke () in
   let cache_ok = cache_smoke () in
   let store_ok, store_pct = store_resume_smoke () in
   let ok =
@@ -681,7 +629,7 @@ let run () =
     "smoke %s: depth-8 incremental ratios %.2fx / %.2fx, depth-10 reduction \
      ratio %.2fx (bar: 3x each), dpor %s, live split %s, live dpor %.2fx \
      nodes / %.2fx steps (bar: 3x each), traces %s, sanitizer %s (bar: \
-     <=15%%), micro fingerprint %.2fx / commute %.2fx (bar: 2x each), \
+     <=15%%), micro commute %.2fx (bar: 2x), \
      cache %s, store resume %.1f%% of cold (bar: <50%%)\n"
     (if ok then "OK" else "FAILED")
     cas_ratio crash_ratio red_ratio
@@ -690,7 +638,7 @@ let run () =
     live_node_ratio live_step_ratio
     (if obs_ok then "reconciled" else "BROKEN")
     (if san_ok then "transparent" else "BROKEN")
-    fp_ratio commute_ratio
+    commute_ratio
     (if cache_ok then "identical" else "BROKEN")
     store_pct;
   ok

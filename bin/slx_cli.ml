@@ -618,7 +618,7 @@ let live_explore_cmd =
     let factory =
       match impl with
       | "register" ->
-          Ok (fun () -> Register_consensus.factory ~max_rounds:(max 8 depth) ())
+          Ok (fun () -> Register_consensus.factory ())
       | "cas" -> Ok (fun () -> Cas_consensus.factory ())
       | "selfish" -> Ok (fun () -> Selfish_consensus.factory ())
       | other -> Error (Printf.sprintf "unknown implementation %S" other)

@@ -36,7 +36,8 @@ type ('inv, 'res) case_def = {
   c_max_crashes : int;
   c_waive_opaque : bool;
       (** Waive the opaque-steps lint (for implementations that
-          legitimately take [Opaque] steps, e.g. lazy allocators). *)
+          legitimately take [Opaque] steps, e.g. the nested-composition
+          fixture). *)
   c_waive_never_wrote : bool;
       (** Waive the declared-write-never-written lint (for
           conditional writers like CAS at small depths). *)

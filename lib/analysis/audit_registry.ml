@@ -99,17 +99,15 @@ let base_cases () =
 (* Consensus implementations. *)
 
 let consensus_cases () =
-  let mk ~name ?(depth = 6) ?(max_crashes = 0) ?(waive_opaque = false) factory
-      =
-    Audit.case ~group:"consensus" ~name ~n:2 ~depth ~max_crashes ~waive_opaque
-      ~factory ~invoke:one_proposal ~pp_inv:pp_consensus ()
+  let mk ~name ?(depth = 6) ?(max_crashes = 0) factory =
+    Audit.case ~group:"consensus" ~name ~n:2 ~depth ~max_crashes ~factory
+      ~invoke:one_proposal ~pp_inv:pp_consensus ()
   in
   [
-    (* max_rounds caps the eager per-round register preallocation so
-       fingerprinting stays cheap; lazily-allocated rounds take an
-       Opaque lookup step, hence the waiver. *)
-    mk ~name:"consensus-register" ~max_crashes:1 ~waive_opaque:true (fun () ->
-        Slx_consensus.Register_consensus.factory ~max_rounds:4 ());
+    (* Rounds are register pools: they materialise without a step, so
+       every step of the cascade declares its register. *)
+    mk ~name:"consensus-register" ~max_crashes:1 (fun () ->
+        Slx_consensus.Register_consensus.factory ());
     mk ~name:"consensus-cas" (fun () -> Slx_consensus.Cas_consensus.factory ());
     mk ~name:"consensus-queue" (fun () ->
         Slx_consensus.Queue_consensus.factory ());
@@ -118,14 +116,13 @@ let consensus_cases () =
   ]
 
 (* One-shot consensus objects, audited through a direct harness. *)
-let one_shot_case ~name ?(waive_opaque = false) (module C : Slx_objects
-                                                  .One_shot_consensus.S) =
-  Audit.case ~group:"consensus" ~name ~n:2 ~depth:6 ~waive_opaque
+let one_shot_case ~name (module C : Slx_objects.One_shot_consensus.S) =
+  Audit.case ~group:"consensus" ~name ~n:2 ~depth:6
     ~factory:(fun () ~n ->
       let o = C.make ~n () in
       fun ~proc -> function
         | Slx_consensus.Consensus_type.Propose v ->
-            Slx_consensus.Consensus_type.Decided (C.propose o ~proc v))
+            Slx_consensus.Consensus_type.Decided (C.propose o ~slot:0 ~proc v))
     ~invoke:one_proposal ~pp_inv:pp_consensus ()
 
 (* ------------------------------------------------------------------ *)
@@ -202,7 +199,7 @@ let object_cases () =
                 if k mod 2 = 0 then Sn.Update (p, (10 * p) + k) else Sn.Scan)))
       ~pp_inv:pp_snapshot ();
     one_shot_case ~name:"oneshot-cas" (module Slx_objects.One_shot_consensus.Cas);
-    one_shot_case ~name:"oneshot-registers" ~waive_opaque:true
+    one_shot_case ~name:"oneshot-registers"
       (module Slx_objects.One_shot_consensus.Registers);
   ]
 
@@ -216,17 +213,12 @@ let universal_cases () =
     counting
       (Driver.n_times 1 (fun p _ -> Slx_objects.Stack_type.Push (10 * p)))
   in
-  let mk ~name consensus waive_opaque =
+  let mk ~name consensus =
     Audit.case ~group:"universal" ~name ~n:2 ~depth:5 ~depth_ci:7
-      ~waive_opaque
-      ~factory:(fun () ->
-        Slx_objects.Universal.factory ~tp:stack_tp ~consensus ~max_ops:8 ())
+      ~factory:(fun () -> Slx_objects.Universal.factory ~tp:stack_tp ~consensus ())
       ~invoke ~pp_inv:pp_stack ()
   in
-  (* Both variants allocate log slots lazily behind an Opaque lookup
-     step, hence the waivers. *)
-  [ mk ~name:"universal-cas" `Cas true;
-    mk ~name:"universal-registers" `Registers true ]
+  [ mk ~name:"universal-cas" `Cas; mk ~name:"universal-registers" `Registers ]
 
 (* ------------------------------------------------------------------ *)
 (* Transactional memories. *)

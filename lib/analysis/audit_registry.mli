@@ -11,10 +11,12 @@
     implementations of {!Fixtures}).
 
     Waivers are declared here, next to the case, with a comment
-    explaining each: lazily-allocating implementations take [Opaque]
-    lookup steps ([waive_opaque]); CAS under a stale expected value
+    explaining each: the nested-composition fixture takes an [Opaque]
+    step by design ([waive_opaque]); CAS under a stale expected value
     may never physically write at audit depths
-    ([waive_never_wrote]). *)
+    ([waive_never_wrote]).  Unbounded families of objects (rounds, log
+    slots) are {!Slx_base_objects} pools and take no allocation step,
+    so no registered implementation needs an opaque waiver. *)
 
 val all : unit -> Audit.case list
 (** Every registered implementation (fixtures excluded). *)

@@ -30,25 +30,35 @@ let store ~obj st v =
   Slx_sim.Runtime.touch ~obj ~write:true;
   st := v
 
-module Register = struct
+(* The one-ref-cell representation shared by registers and CAS
+   objects: made standalone, or a cell of a pool whose id and state come
+   from the Runtime pool (see Runtime's "Object pools" section). *)
+module Ref_object = struct
   type 'a t = { st : 'a ref; obj : int }
 
   let make v =
     let st = ref v in
     { st; obj = fingerprinted st ( ! ) }
 
+  type 'a pool = 'a Slx_sim.Runtime.pool
+
+  let pool = Slx_sim.Runtime.make_pool
+
+  let cell pl i =
+    let obj, st = Slx_sim.Runtime.pool_cell pl i in
+    { st; obj }
+
   let read r = reads ~obj:r.obj (fun () -> load ~obj:r.obj r.st)
+end
+
+module Register = struct
+  include Ref_object
+
   let write r v = writes ~obj:r.obj (fun () -> store ~obj:r.obj r.st v)
 end
 
 module Cas = struct
-  type 'a t = { st : 'a ref; obj : int }
-
-  let make v =
-    let st = ref v in
-    { st; obj = fingerprinted st ( ! ) }
-
-  let read r = reads ~obj:r.obj (fun () -> load ~obj:r.obj r.st)
+  include Ref_object
 
   let compare_and_swap r ~expected ~desired =
     writes ~obj:r.obj (fun () ->

@@ -36,6 +36,16 @@ module Register : sig
 
   val write : 'a t -> 'a -> unit
   (** Atomic write: one step. *)
+
+  type 'a pool = 'a Slx_sim.Runtime.pool
+  (** An unbounded family of registers sharing one initial value, with
+      no capacity ({!Slx_sim.Runtime.make_pool}). *)
+
+  val pool : 'a -> 'a pool
+
+  val cell : 'a pool -> int -> 'a t
+  (** [cell p i] is register [i] of [p], materialised on first use
+      without a step ({!Slx_sim.Runtime.pool_cell}). *)
 end
 
 (** Compare-and-swap objects — used by the TM Algorithm 1 ([I(1,2)])
@@ -52,6 +62,12 @@ module Cas : sig
   (** Atomically: if the current value is structurally equal to
       [expected], install [desired] and return [true]; otherwise return
       [false].  One step. *)
+
+  type 'a pool = 'a Slx_sim.Runtime.pool
+  (** An unbounded family of CAS objects, as {!Register.pool}. *)
+
+  val pool : 'a -> 'a pool
+  val cell : 'a pool -> int -> 'a t
 end
 
 (** Test-and-set objects. *)

@@ -24,13 +24,13 @@ let property ~k =
 
 let group_of ~k p = (p - 1) mod k
 
-let grouped_factory ~k ?max_rounds () : _ Slx_sim.Runner.factory =
+let grouped_factory ~k () : _ Slx_sim.Runner.factory =
   if k < 1 then invalid_arg "Kset.grouped_factory: k must be positive";
   fun ~n ->
     (* One commit-adopt consensus instance per group; a process plays
        in the instance of its group.  Instances are sized [n] so that
        process identifiers can be used directly as slots. *)
     let instances =
-      Array.init k (fun _ -> Register_consensus.factory ?max_rounds () ~n)
+      Array.init k (fun _ -> Register_consensus.factory () ~n)
     in
     fun ~proc inv -> instances.(group_of ~k proc) ~proc inv

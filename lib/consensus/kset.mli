@@ -38,7 +38,6 @@ val group_of : k:int -> Proc.t -> int
 
 val grouped_factory :
   k:int ->
-  ?max_rounds:int ->
   unit ->
   (Consensus_type.invocation, Consensus_type.response) Slx_sim.Runner.factory
 (** [k] independent register-consensus instances, one per group. *)

@@ -21,10 +21,10 @@
     Corollaries 4.5 and 4.10 and Theorem 5.2. *)
 
 val factory :
-  ?max_rounds:int ->
   unit ->
   (Consensus_type.invocation, Consensus_type.response) Slx_sim.Runner.factory
-(** A fresh implementation instance.  [max_rounds] (default [4096])
-    bounds the commit–adopt cascade; a process exceeding it raises —
-    choose it larger than [max_steps / 6] to make the bound
-    unreachable in bounded runs. *)
+(** A fresh implementation instance.  The rounds are two
+    {!Slx_base_objects.Register.pool}s: a round's registers materialise
+    when a process first reaches it, with no step and no bound on the
+    number of rounds, and rounds nobody wrote leave the configuration
+    digest unchanged. *)

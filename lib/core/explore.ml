@@ -561,7 +561,10 @@ let explore ~n ~factory ~invoke ~depth ?(max_crashes = 0) ?(cache = true)
                       (dec_code d);
                     Runner.Cursor.apply child d;
                     visit child (d :: rev_script) (len + 1) crashes'
-                      (settle_sleep child d child_sleep (len + 1)))
+                      (settle_sleep child d child_sleep (len + 1));
+                    (* [child]'s subtree is done; its cursor is used no
+                       more. *)
+                    Runner.Cursor.release child)
                   children;
                 (* Persist mode: never cache a subtree containing cut
                    leaves — a hit on it would credit runs without

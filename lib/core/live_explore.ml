@@ -531,7 +531,9 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
             let cell = cell_of d fresh in
             visit child (d :: rev_script) (cell :: rev_cells)
               (goods_of ~good fresh :: rev_goods)
-              (len + 1) crashes' settled)
+              (len + 1) crashes' settled;
+            (* [child]'s subtree is done; its cursor is used no more. *)
+            Runner.Cursor.release child)
           children
   in
   let make_cursor () =

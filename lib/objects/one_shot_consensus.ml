@@ -5,98 +5,65 @@ module type S = sig
   type 'a t
 
   val make : n:int -> unit -> 'a t
-  val propose : 'a t -> proc:Proc.t -> 'a -> 'a
-  val peek : 'a t -> 'a option
+  val propose : 'a t -> slot:int -> proc:Proc.t -> 'a -> 'a
 end
 
 module Cas = struct
-  type 'a t = 'a option Slx_base_objects.Cas.t
+  type 'a t = 'a option Slx_base_objects.Cas.pool
 
-  let make ~n:_ () = Slx_base_objects.Cas.make None
+  let make ~n:_ () = Slx_base_objects.Cas.pool None
 
-  let propose t ~proc:_ v =
+  let propose t ~slot ~proc:_ v =
+    let c = Slx_base_objects.Cas.cell t slot in
     let _won =
-      Slx_base_objects.Cas.compare_and_swap t ~expected:None ~desired:(Some v)
+      Slx_base_objects.Cas.compare_and_swap c ~expected:None ~desired:(Some v)
     in
-    match Slx_base_objects.Cas.read t with
+    match Slx_base_objects.Cas.read c with
     | Some w -> w
     | None -> assert false
-
-  let peek t = Slx_base_objects.Cas.read t
 end
 
 module Registers = struct
-  (* One commit-adopt round (cf. Slx_consensus.Register_consensus,
-     generalized to arbitrary values). *)
-  type 'a round = {
-    a : 'a option Register.t array;
-    b : (bool * 'a) option Register.t array;
-  }
-
+  (* The commit-adopt cascade of every slot (cf.
+     Slx_consensus.Register_consensus, generalized to arbitrary values):
+     process [i]'s registers of round [r] of slot [s] are cell
+     [pair s r * n + i - 1] of [a] and [b], where [pair] is the Cantor
+     pairing, and slot [s]'s decision is cell [s] of [decision]. *)
   type 'a t = {
     n : int;
-    rounds : 'a round option array;  (* allocated on first use *)
-    allocated : int ref;  (* rounds allocated so far (prefix of [rounds]) *)
-    tbl : int;  (* footprint id of the allocation table *)
-    decision : 'a option Register.t;
+    a : 'a option Register.pool;
+    b : (bool * 'a) option Register.pool;
+    decision : 'a option Register.pool;
   }
 
-  let max_rounds = 4096
-
-  let make_round n =
-    {
-      a = Array.init n (fun _ -> Register.make None);
-      b = Array.init n (fun _ -> Register.make None);
-    }
-
   let make ~n () =
-    (* The allocation table is shared mutable state: fingerprint it
-       (rounds are allocated in order, so the count characterizes it —
-       the registers themselves register their own readers) and give
-       it a footprint id so the lazy-allocation step can report its
-       accesses to the sanitizer. *)
-    let allocated = ref 0 in
     {
       n;
-      rounds = Array.make max_rounds None;
-      allocated;
-      tbl = Slx_sim.Runtime.register_object (fun () -> !allocated);
-      decision = Register.make None;
+      a = Register.pool None;
+      b = Register.pool None;
+      decision = Register.pool None;
     }
 
-  (* Lazily allocate round [r]; modelled as one atomic step so the
-     shared table mutation cannot be interleaved.  Kept [Opaque]
-     (rather than a declared write of [tbl]): allocation also runs the
-     nested [Register.make] registrations, and an opaque step's
-     conflict-with-everything is the sound declaration for that —
-     audits waive the resulting opaque-step lint. *)
-  let round t r =
-    Slx_sim.Runtime.atomic (fun () ->
-        Slx_sim.Runtime.touch ~obj:t.tbl ~write:false;
-        match t.rounds.(r) with
-        | Some round -> round
-        | None ->
-            let round = make_round t.n in
-            Slx_sim.Runtime.touch ~obj:t.tbl ~write:true;
-            t.rounds.(r) <- Some round;
-            incr t.allocated;
-            round)
+  let pair s r = ((s + r) * (s + r + 1) / 2) + r
+
+  let cells t =
+    Slx_sim.Runtime.(pool_size t.a + pool_size t.b + pool_size t.decision)
 
   type 'a outcome = Commit of 'a | Adopt of 'a
 
-  let commit_adopt round ~n ~i v =
-    Register.write round.a.(i - 1) (Some v);
+  let commit_adopt t ~slot ~r ~i v =
+    let n = t.n in
+    let base = pair slot r * n in
+    let a j = Register.cell t.a (base + j)
+    and b j = Register.cell t.b (base + j) in
+    Register.write (a (i - 1)) (Some v);
     let seen_a =
-      List.filter_map
-        (fun j -> Register.read round.a.(j))
-        (List.init n (fun j -> j))
+      List.filter_map (fun j -> Register.read (a j)) (List.init n (fun j -> j))
     in
     let phase1 = if List.for_all (fun u -> u = v) seen_a then (true, v) else (false, v) in
-    Register.write round.b.(i - 1) (Some phase1);
+    Register.write (b (i - 1)) (Some phase1);
     let seen_b =
-      List.filter_map
-        (fun j -> Register.read round.b.(j))
-        (List.init n (fun j -> j))
+      List.filter_map (fun j -> Register.read (b j)) (List.init n (fun j -> j))
     in
     let trues = List.filter fst seen_b in
     match trues with
@@ -104,23 +71,19 @@ module Registers = struct
     | (_, u) :: _ -> Adopt u
     | [] -> Adopt v
 
-  let propose t ~proc v =
+  let propose t ~slot ~proc v =
+    let decision = Register.cell t.decision slot in
     let rec go r pref =
-      if r >= max_rounds then
-        failwith "One_shot_consensus.Registers: max_rounds exceeded"
-      else
-        match Register.read t.decision with
-        | Some w -> w
-        | None -> begin
-            match commit_adopt (round t r) ~n:t.n ~i:proc pref with
-            | Commit u ->
-                Register.write t.decision (Some u);
-                u
-            | Adopt u -> go (r + 1) u
-          end
+      match Register.read decision with
+      | Some w -> w
+      | None -> begin
+          match commit_adopt t ~slot ~r ~i:proc pref with
+          | Commit u ->
+              Register.write decision (Some u);
+              u
+          | Adopt u -> go (r + 1) u
+        end
     in
     if Proc.is_valid ~n:t.n proc then go 0 v
     else invalid_arg "One_shot_consensus.Registers.propose: bad process"
-
-  let peek t = Register.read t.decision
 end

@@ -4,58 +4,12 @@ open Slx_history
    same process distinct so a process can recognize its own win. *)
 type 'inv entry = { owner : Proc.t; id : int; inv : 'inv }
 
-module Make_log (C : One_shot_consensus.S) = struct
-  type 'inv t = {
-    n : int;
-    slots : 'inv entry C.t option array;
-    allocated : int ref;  (* slots allocated so far *)
-    tbl : int;  (* footprint id of the allocation table *)
-  }
-
-  let make ~n ~max_ops =
-    (* The slot table is shared mutable state: fingerprint its
-       allocation count (slots fill in order; the consensus objects
-       inside register their own readers) and give it a footprint id
-       so the lazy-allocation step reports to the sanitizer. *)
-    let allocated = ref 0 in
-    {
-      n;
-      slots = Array.make max_ops None;
-      allocated;
-      tbl = Slx_sim.Runtime.register_object (fun () -> !allocated);
-    }
-
-  (* Lazily allocate slot [i]; one atomic step, so the shared table
-     mutation cannot be interleaved.  Kept [Opaque]: allocation runs
-     the nested consensus-object constructor (registrations included),
-     for which conflict-with-everything is the sound declaration —
-     audits waive the resulting opaque-step lint. *)
-  let slot t i =
-    if i >= Array.length t.slots then
-      failwith "Universal: log exhausted (raise max_ops)";
-    Slx_sim.Runtime.atomic (fun () ->
-        Slx_sim.Runtime.touch ~obj:t.tbl ~write:false;
-        match t.slots.(i) with
-        | Some c -> c
-        | None ->
-            let c = C.make ~n:t.n () in
-            Slx_sim.Runtime.touch ~obj:t.tbl ~write:true;
-            t.slots.(i) <- Some c;
-            incr t.allocated;
-            c)
-
-  let decide t i ~proc entry = C.propose (slot t i) ~proc entry
-end
-
-module Cas_log = Make_log (One_shot_consensus.Cas)
-module Reg_log = Make_log (One_shot_consensus.Registers)
-
 (* Per-process replay cache: how far down the log this process has
    applied, and the object state at that point.  Purely local. *)
 type 'st cursor = { mutable index : int; mutable state : 'st; mutable next_id : int }
 
 let factory (type st inv res) ~(tp : (st, inv, res) Object_type.t) ~consensus
-    ?(max_ops = 4096) () : (inv, res) Slx_sim.Runner.factory =
+    () : (inv, res) Slx_sim.Runner.factory =
   let module Tp = (val tp) in
   let apply st i =
     match Tp.seq i st with
@@ -63,15 +17,13 @@ let factory (type st inv res) ~(tp : (st, inv, res) Object_type.t) ~consensus
     | [] -> failwith "Universal: sequential specification is not total"
   in
   fun ~n ->
-    let decide =
+    (* The log: slot [i] is the [i]-th one-shot consensus object. *)
+    let (module C : One_shot_consensus.S) =
       match consensus with
-      | `Cas ->
-          let log = Cas_log.make ~n ~max_ops in
-          fun i ~proc entry -> Cas_log.decide log i ~proc entry
-      | `Registers ->
-          let log = Reg_log.make ~n ~max_ops in
-          fun i ~proc entry -> Reg_log.decide log i ~proc entry
+      | `Cas -> (module One_shot_consensus.Cas)
+      | `Registers -> (module One_shot_consensus.Registers)
     in
+    let log = C.make ~n () in
     let cursors =
       Array.init (n + 1) (fun _ -> { index = 0; state = Tp.initial; next_id = 0 })
     in
@@ -80,7 +32,7 @@ let factory (type st inv res) ~(tp : (st, inv, res) Object_type.t) ~consensus
       let my = { owner = proc; id = cur.next_id; inv } in
       cur.next_id <- cur.next_id + 1;
       let rec race () =
-        let winner = decide cur.index ~proc my in
+        let winner = C.propose log ~slot:cur.index ~proc my in
         let state', res = apply cur.state winner.inv in
         cur.index <- cur.index + 1;
         cur.state <- state';

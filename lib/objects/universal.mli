@@ -29,13 +29,14 @@ open Slx_history
 val factory :
   tp:('st, 'inv, 'res) Object_type.t ->
   consensus:[ `Cas | `Registers ] ->
-  ?max_ops:int ->
   unit ->
   ('inv, 'res) Slx_sim.Runner.factory
 (** A universal implementation of [tp].  The sequential specification
     must be deterministic (the first branch of [seq] is used; a spec
     with no branch for some reachable invocation makes that operation
     answer the first branch of a retry — such specs should be total).
-    [max_ops] (default [4096]) bounds the log length.
+    The log is unbounded: its slots materialise on first use, with no
+    step.
 
-    @raise Failure at run time if the log or the spec is exhausted. *)
+    @raise Failure at run time if the spec has no branch for a decided
+    invocation. *)

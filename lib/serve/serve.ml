@@ -889,7 +889,10 @@ let try_parse_request acc =
 let main ?(host = "127.0.0.1") ~port ~workers ~store () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let store = Store.open_ store in
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (* Every coordinator-side descriptor is close-on-exec: a respawned
+     worker must not inherit a client socket, or the client would wait
+     for EOF until that worker exits. *)
+  let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
   Unix.listen listen_fd 64;
@@ -928,7 +931,7 @@ let main ?(host = "127.0.0.1") ~port ~workers ~store () =
         List.iter
           (fun fd ->
             if fd = t.listen_fd then begin
-              match Unix.accept t.listen_fd with
+              match Unix.accept ~cloexec:true t.listen_fd with
               | cfd, _ ->
                   t.clients <-
                     { c_fd = cfd; c_acc = Buffer.create 256 } :: t.clients

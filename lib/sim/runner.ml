@@ -32,13 +32,11 @@ module Cursor = struct
 
   let create ~n ~factory ?(ticks = ref 0) ?shadow ?probe ?encode () =
     let registry = Runtime.fresh_registry () in
-    let with_shadow f =
-      match shadow with None -> f () | Some sh -> Runtime.with_shadow sh f
-    in
     (* The factory runs under the shadow too: constructors that touch
        shared cells outside any atomic action should be caught. *)
     let impl =
-      with_shadow (fun () -> Runtime.with_registry registry (fun () -> factory ~n))
+      Runtime.with_monitors ?shadow (fun () ->
+          Runtime.with_registry registry (fun () -> factory ~n))
     in
     {
       n;
@@ -114,14 +112,10 @@ module Cursor = struct
         incr c.ticks)
 
   let apply c d =
-    let body () =
-      match c.shadow with
-      | None -> apply_body c d
-      | Some sh -> Runtime.with_shadow sh (fun () -> apply_body c d)
-    in
-    match c.probe with
-    | None -> body ()
-    | Some pr -> Runtime.with_probe pr body
+    match (c.shadow, c.probe) with
+    | None, None -> apply_body c d
+    | shadow, probe ->
+        Runtime.with_monitors ?shadow ?probe (fun () -> apply_body c d)
 
   let probe c = c.probe
 
@@ -188,7 +182,11 @@ module Cursor = struct
     a
 
   let shared_digest c = Runtime.registry_digest c.registry
-  let shared_digest_full c = Runtime.registry_digest_full c.registry
+
+  (* Crashing unwinds every suspended computation, which frees its
+     fiber stack at once; an abandoned one would hold it until a major
+     collection finds the continuation dead. *)
+  let release c = Array.iter Runtime.crash c.cells
 end
 
 let run ~n ~factory ~driver ~max_steps ?window () =

@@ -157,14 +157,14 @@ module Cursor : sig
   val shared_digest : ('inv, 'res) t -> int
   (** The shared-state digest of the current configuration
       ({!Slx_sim.Runtime.registry_digest} of the cursor's registry):
-      the incrementally maintained digest both {!fingerprint} and
-      {!compact_key} embed. *)
+      the exact fold both {!fingerprint} and {!compact_key} embed. *)
 
-  val shared_digest_full : ('inv, 'res) t -> int
-  (** The same digest recomputed from scratch
-      ({!Slx_sim.Runtime.registry_digest_full}); equals
-      {!shared_digest} unless a base-object mutation bypassed the
-      write-touch contract.  For audits and tests. *)
+  val release : ('inv, 'res) t -> unit
+  (** Discard a cursor whose walk is over: crash every process, freeing
+      the stacks of suspended computations now rather than at the next
+      major collection (fiber stacks live outside the OCaml heap, so
+      the GC does not pace itself by them).  Takes no tick; the cursor
+      must not be used afterwards. *)
 end
 
 val run :

@@ -237,51 +237,24 @@ let hash_value v =
    fingerprints.  The "current registry" is domain-local so parallel
    explorers do not observe each other's allocations.
 
-   The digest is maintained {e incrementally}, Zobrist-style: each
-   object contributes [combine id (reader ())], the registry digest is
-   the XOR of all contributions, and a write reported through [touch]
-   marks its object dirty so only touched objects are re-read at the
-   next [registry_digest] call.  A full fold would be O(objects) per
-   configuration — factories preallocate their object pools (the
-   register-consensus factory allocates 4096 rounds of registers up
-   front), so the fold dominated every fingerprint; the incremental
-   digest is O(writes since the last digest) instead.  XOR makes the
-   combination order-free (contributions carry the object's own id, so
-   equal multisets of (id, state) pairs — i.e. equal shared states of
-   two instances of one deterministic factory — digest equally).
-
-   Exactness rests on the touch contract: every physical mutation of a
-   registered object's state is reported via [touch ~write:true] with
-   the owning object's id while its registry is current.  The
-   instrumented base-object layer establishes this by construction
-   (stores route through [Slx_base_objects.store], which touches the
-   {e owning} cell even when the surrounding atomic action misdeclares
-   its footprint), and the sanitizer shadow is the dynamic check of
-   precisely this reporting. *)
+   The digest is one exact fold: the XOR of [combine id (reader ())]
+   over every registered object.  XOR makes the fold order-free
+   (contributions carry the object's own id, so equal multisets of
+   (id, state) pairs — i.e. equal shared states of two instances of one
+   deterministic factory — digest equally).  Registries are small —
+   unbounded families of cells live in one pool object each (below) —
+   so the fold costs O(objects + materialised pool cells) and trusts
+   nothing but the readers. *)
 
 type registry = {
-  mutable readers : (unit -> int) array;  (* slot [id - 1] *)
-  mutable contrib : int array;  (* last XOR contribution per object *)
-  mutable dirty : int list;  (* ids re-read at the next digest *)
-  mutable dirty_flag : Bytes.t;  (* dedup for [dirty]; slot [id - 1] *)
-  mutable digest : int;  (* XOR of [contrib.(0 .. next_id - 2)] *)
+  mutable readers : (int * (unit -> int)) list;  (* (id, reader), newest first *)
   mutable next_id : int;
 }
 
 let current_registry : registry option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let no_reader : unit -> int = fun () -> 0
-
-let fresh_registry () : registry =
-  {
-    readers = Array.make 16 no_reader;
-    contrib = Array.make 16 0;
-    dirty = [];
-    dirty_flag = Bytes.make 16 '\000';
-    digest = 0x811c9dc5;
-    next_id = 1;
-  }
+let fresh_registry () : registry = { readers = []; next_id = 1 }
 
 (* Fallback id source for objects allocated with no registry current
    (plain [Runner.run]s); footprint ids only ever need to be distinct
@@ -289,48 +262,21 @@ let fresh_registry () : registry =
    with registry-issued positive ones. *)
 let orphan_ids : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
-let register_object reader =
+(* Register [reader] and skip the next [reserve] ids (a pool's first
+   cells take them). *)
+let register ~reserve reader =
   match !(Domain.DLS.get current_registry) with
   | None ->
       let c = Domain.DLS.get orphan_ids in
-      decr c;
-      !c
+      c := !c - 1 - reserve;
+      !c + reserve
   | Some reg ->
       let id = reg.next_id in
-      reg.next_id <- id + 1;
-      let cap = Array.length reg.readers in
-      if id > cap then begin
-        let readers = Array.make (2 * cap) no_reader in
-        Array.blit reg.readers 0 readers 0 cap;
-        reg.readers <- readers;
-        let contrib = Array.make (2 * cap) 0 in
-        Array.blit reg.contrib 0 contrib 0 cap;
-        reg.contrib <- contrib;
-        let flags = Bytes.make (2 * cap) '\000' in
-        Bytes.blit reg.dirty_flag 0 flags 0 cap;
-        reg.dirty_flag <- flags
-      end;
-      reg.readers.(id - 1) <- reader;
-      (* The reader is callable at registration: constructors register
-         after initializing the state the reader closes over. *)
-      let c = combine id (reader ()) in
-      reg.contrib.(id - 1) <- c;
-      reg.digest <- reg.digest lxor c;
+      reg.next_id <- id + 1 + reserve;
+      reg.readers <- (id, reader) :: reg.readers;
       id
 
-(* Called (unconditionally) on every write-touch: queue the object for
-   re-reading at the next digest.  Ids outside the current registry —
-   orphans (negative) or a fixture touching an id it never registered —
-   have no contribution to invalidate and are skipped. *)
-let mark_written obj =
-  match !(Domain.DLS.get current_registry) with
-  | Some reg
-    when obj >= 1
-         && obj < reg.next_id
-         && Bytes.unsafe_get reg.dirty_flag (obj - 1) = '\000' ->
-      Bytes.unsafe_set reg.dirty_flag (obj - 1) '\001';
-      reg.dirty <- obj :: reg.dirty
-  | _ -> ()
+let register_object reader = register ~reserve:0 reader
 
 let with_registry reg f =
   let slot = Domain.DLS.get current_registry in
@@ -345,30 +291,74 @@ let with_registry reg f =
       raise e
 
 let registry_digest (reg : registry) =
-  (match reg.dirty with
-  | [] -> ()
-  | dirty ->
-      reg.dirty <- [];
-      List.iter
-        (fun id ->
-          Bytes.unsafe_set reg.dirty_flag (id - 1) '\000';
-          let c = combine id (reg.readers.(id - 1) ()) in
-          reg.digest <- reg.digest lxor reg.contrib.(id - 1) lxor c;
-          reg.contrib.(id - 1) <- c)
-        dirty);
-  reg.digest
+  List.fold_left
+    (fun d (id, reader) -> d lxor combine id (reader ()))
+    0x811c9dc5 reg.readers
 
-(* O(objects) recomputation from scratch — what [registry_digest] cost
-   at every configuration before the incremental scheme, kept as the
-   audit cross-check: it differs from [registry_digest] only if some
-   mutation bypassed the touch contract (in which case the incremental
-   digest is stale and the divergence is the diagnostic). *)
-let registry_digest_full (reg : registry) =
-  let d = ref 0x811c9dc5 in
-  for id = 1 to reg.next_id - 1 do
-    d := !d lxor combine id (reg.readers.(id - 1) ())
-  done;
-  !d
+(* ------------------------------------------------------------------ *)
+(* Object pools: unbounded families of cells sharing one initial value
+   (the rounds of a commit-adopt cascade, the slots of a consensus
+   log).  A pool registers one reader as id [p] and reserves the next
+   [pool_reserved] ids: cell [i] has id [p + 1 + i] below that (in the
+   footprint bitmask range) and [p * 2^32 + i] above, disjoint from
+   every other id and independent of the schedule.  Cells materialise
+   on first use, with no step, holding the initial value; only
+   materialised cells are stored.  The reader folds [combine id (hash
+   v) lxor combine id (hash init)] over them, so a cell at its initial
+   value contributes nothing, materialised or not: a pooled instance
+   digests as an eager preallocation would, up to a constant. *)
+
+module Itbl = Hashtbl.Make (struct
+  type t = int let equal = Int.equal let hash i = i land max_int
+end)
+
+type 'a pool = {
+  mutable pl_id : int;  (* set once, at registration *)
+  pl_init : 'a;
+  pl_init_hash : int;
+  pl_cells : 'a ref Itbl.t;  (* materialised cells, by index *)
+}
+
+let pool_reserved = 8
+let pool_index_limit = 1 lsl 31
+
+let pool_cell_id pl i =
+  if i >= pool_reserved then (pl.pl_id lsl 32) lor i
+  else if pl.pl_id > 0 then pl.pl_id + 1 + i
+  else pl.pl_id - 1 - i
+
+let pool_digest pl =
+  Itbl.fold
+    (fun i st d ->
+      let id = pool_cell_id pl i in
+      d lxor combine id (hash_value !st) lxor combine id pl.pl_init_hash)
+    pl.pl_cells 0
+
+let make_pool init =
+  let pl =
+    {
+      pl_id = 0;
+      pl_init = init;
+      pl_init_hash = hash_value init;
+      pl_cells = Itbl.create 8;
+    }
+  in
+  pl.pl_id <- register ~reserve:pool_reserved (fun () -> pool_digest pl);
+  pl
+
+let pool_cell pl i =
+  if i < 0 || i >= pool_index_limit then invalid_arg "Runtime.pool_cell";
+  let st =
+    match Itbl.find_opt pl.pl_cells i with
+    | Some st -> st
+    | None ->
+        let st = ref pl.pl_init in
+        Itbl.add pl.pl_cells i st;
+        st
+  in
+  (pool_cell_id pl i, st)
+
+let pool_size pl = Itbl.length pl.pl_cells
 
 (* ------------------------------------------------------------------ *)
 (* Shadow state: the conflict-soundness sanitizer.
@@ -415,7 +405,8 @@ and shadow = {
   mutable sh_steps : int;
   mutable sh_log : step_log list;  (* reverse order *)
   mutable sh_violations : violation list;  (* reverse order *)
-  sh_decls : (int, mstat) Hashtbl.t;
+  sh_small : mstat array;  (* decl stats of ids in [0, mask_width) *)
+  sh_decls : (int, mstat) Hashtbl.t;  (* decl stats of the other ids *)
   mutable sh_opaque : int;
 }
 
@@ -500,24 +491,15 @@ let make_shadow ?(record = false) ?(raise_on_violation = true) () =
     sh_steps = 0;
     sh_log = [];
     sh_violations = [];
+    sh_small =
+      Array.init mask_width (fun _ ->
+          { ms_decl = 0; ms_touched = 0; ms_wdecl = 0; ms_wrote = 0 });
     sh_decls = Hashtbl.create 16;
     sh_opaque = 0;
   }
 
 let current_shadow : shadow option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
-
-let with_shadow sh f =
-  let slot = Domain.DLS.get current_shadow in
-  let saved = !slot in
-  slot := Some sh;
-  match f () with
-  | x ->
-      slot := saved;
-      x
-  | exception e ->
-      slot := saved;
-      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic-conflict probe: the DPOR observed-access recorder.
@@ -528,7 +510,7 @@ let with_shadow sh f =
    exploration engines can compute race reversals from dynamic
    conflicts — what a step actually did in this configuration — instead
    of declared footprints alone.  One probe per engine (per domain),
-   installed around [Runner.Cursor.apply] exactly like the shadow; with
+   installed around [Runner.Cursor.apply] together with the shadow; with
    no probe installed, [touch] stays one domain-local read and a
    branch. *)
 
@@ -538,16 +520,23 @@ let make_probe () =
 let current_probe : probe option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let with_probe pr f =
-  let slot = Domain.DLS.get current_probe in
-  let saved = !slot in
-  slot := Some pr;
+(* Install a shadow and/or a probe for [f]'s dynamic extent (an absent
+   one leaves the current slot as it is) and restore both afterwards,
+   exceptions included: one bracket per cursor step for both monitors. *)
+let with_monitors ?shadow ?probe f =
+  let ss = Domain.DLS.get current_shadow
+  and ps = Domain.DLS.get current_probe in
+  let saved_s = !ss and saved_p = !ps in
+  if Option.is_some shadow then ss := shadow;
+  if Option.is_some probe then ps := probe;
   match f () with
   | x ->
-      slot := saved;
+      ss := saved_s;
+      ps := saved_p;
       x
   | exception e ->
-      slot := saved;
+      ss := saved_s;
+      ps := saved_p;
       raise e
 
 let probe_steps pr = pr.pr_steps
@@ -569,8 +558,9 @@ let shadow_step_count sh = sh.sh_steps
 let shadow_opaque_steps sh = sh.sh_opaque
 
 let shadow_decl_stats sh =
-  Hashtbl.fold
-    (fun obj ms acc ->
+  let stat obj ms acc =
+    if ms.ms_decl = 0 then acc
+    else
       ( obj,
         {
           decl_steps = ms.ms_decl;
@@ -578,8 +568,11 @@ let shadow_decl_stats sh =
           write_decl_steps = ms.ms_wdecl;
           wrote_steps = ms.ms_wrote;
         } )
-      :: acc)
-    sh.sh_decls []
+      :: acc
+  in
+  let small = ref [] in
+  Array.iteri (fun obj ms -> small := stat obj ms !small) sh.sh_small;
+  Hashtbl.fold stat sh.sh_decls !small
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let violate sh v =
@@ -592,10 +585,6 @@ let violate sh v =
    boundaries, which preserve the temporal precision of the old
    per-touch check). *)
 let touch ~obj ~write =
-  (* Keep the registry's incremental digest exact: every physical
-     write invalidates the written object's cached contribution, with
-     or without a shadow installed. *)
-  if write then mark_written obj;
   let fr = Domain.DLS.get frame_key in
   if fr.fr_depth = 0 then (
     (* Outside any atomic action: a violation when a shadow judges;
@@ -703,58 +692,49 @@ let enter_step fr fp fp_mask =
   fr.fr_len <- 0;
   fr.fr_checked <- 0
 
+(* One declared access's contribution to the shadow's per-object
+   declaration stats, judged against the step's observed mask. *)
+let record_decl sh (a : access) touched =
+  let ms =
+    if a.obj >= 0 && a.obj < mask_width then sh.sh_small.(a.obj)
+    else
+      match Hashtbl.find_opt sh.sh_decls a.obj with
+      | Some ms -> ms
+      | None ->
+          let ms = { ms_decl = 0; ms_touched = 0; ms_wdecl = 0; ms_wrote = 0 } in
+          Hashtbl.add sh.sh_decls a.obj ms;
+          ms
+  in
+  ms.ms_decl <- ms.ms_decl + 1;
+  if mask_covers touched ~obj:a.obj ~write:false then
+    ms.ms_touched <- ms.ms_touched + 1;
+  if a.write then begin
+    ms.ms_wdecl <- ms.ms_wdecl + 1;
+    if mask_covers touched ~obj:a.obj ~write:true then
+      ms.ms_wrote <- ms.ms_wrote + 1
+  end
+
 let leave_step fr =
   fr.fr_depth <- 0;
+  (* The observed mask is computed once and shared by probe and shadow. *)
+  let obs = if fr.fr_active then observed_mask_of_buffer fr else empty_mask in
   (match fr.fr_probe with
   | None -> ()
   | Some pr ->
       pr.pr_steps <- pr.pr_steps + 1;
       pr.pr_eff <- fr.fr_eff;
       pr.pr_touched <- buffered_touches fr;
-      pr.pr_mask <- observed_mask_of_buffer fr);
+      pr.pr_mask <- obs);
   (match fr.fr_shadow with
   | None -> ()
   | Some sh ->
-      (* Per-object declaration stats from the touched masks: one pair
+      (* Per-object declaration stats from the observed mask: one pair
          of bit tests per declared access instead of two list walks. *)
-      let obs = observed_mask_of_buffer fr in
-      let touched_r = (if fr.fr_len = 0 then 0 else obs.m_r)
-      and touched_w = (if fr.fr_len = 0 then 0 else obs.m_w)
-      and touched_rest = if fr.fr_len = 0 then [] else obs.m_rest in
-      (match accesses fr.fr_pending with
-      | None -> sh.sh_opaque <- sh.sh_opaque + 1
-      | Some decl ->
-          List.iter
-            (fun (a : access) ->
-              let ms =
-                match Hashtbl.find_opt sh.sh_decls a.obj with
-                | Some ms -> ms
-                | None ->
-                    let ms =
-                      { ms_decl = 0; ms_touched = 0; ms_wdecl = 0; ms_wrote = 0 }
-                    in
-                    Hashtbl.add sh.sh_decls a.obj ms;
-                    ms
-              in
-              let was_touched, was_written =
-                if a.obj >= 0 && a.obj < mask_width then
-                  let bit = 1 lsl a.obj in
-                  (touched_r land bit <> 0, touched_w land bit <> 0)
-                else
-                  ( List.exists
-                      (fun (t : access) -> t.obj = a.obj)
-                      touched_rest,
-                    List.exists
-                      (fun (t : access) -> t.obj = a.obj && t.write)
-                      touched_rest )
-              in
-              ms.ms_decl <- ms.ms_decl + 1;
-              if was_touched then ms.ms_touched <- ms.ms_touched + 1;
-              if a.write then begin
-                ms.ms_wdecl <- ms.ms_wdecl + 1;
-                if was_written then ms.ms_wrote <- ms.ms_wrote + 1
-              end)
-            decl);
+      let touched = if fr.fr_len = 0 then empty_mask else obs in
+      (match fr.fr_pending with
+      | Opaque -> sh.sh_opaque <- sh.sh_opaque + 1
+      | Access a -> record_decl sh a touched
+      | Multi decl -> List.iter (fun a -> record_decl sh a touched) decl);
       if sh.sh_record then
         sh.sh_log <-
           {

@@ -145,7 +145,7 @@ val mask_conflicts_access : mask -> access -> bool
     POR and the transposition cache trust declared footprints; a
     {e shadow} checks that trust dynamically.  Instrumented base
     objects ({!Slx_base_objects}) report every physical cell access
-    through {!touch}; while a shadow is installed ({!with_shadow}),
+    through {!touch}; while a shadow is installed ({!with_monitors}),
     every touch is validated against the footprint of the atomic
     action in flight.  Validation is {e batched}: touches accumulate
     in a flat per-step buffer of packed ints and are checked once at
@@ -213,11 +213,6 @@ val make_shadow : ?record:bool -> ?raise_on_violation:bool -> unit -> shadow
     counted and listed (the mode engines use, so sanitizing changes no
     outcome). *)
 
-val with_shadow : shadow -> (unit -> 'a) -> 'a
-(** [with_shadow sh f] runs [f] with [sh] installed as the current
-    (domain-local) shadow, restoring the previous one afterwards,
-    exceptions included. *)
-
 val touch : obj:int -> write:bool -> unit
 (** Called by instrumented base-object primitives at every physical
     cell access.  No-op unless a shadow or a probe is installed. *)
@@ -231,7 +226,7 @@ val touch : obj:int -> write:bool -> unit
     probe records, per completed atomic step, the step's effective
     footprint and its {!touch}es; unlike the shadow it validates
     nothing and never raises.  Install one per engine (per domain)
-    with {!with_probe} (or [Runner.Cursor.create ~probe]); after each
+    with {!with_monitors} (or [Runner.Cursor.create ~probe]); after each
     [Schedule] grant the engine reads the last step's observation. *)
 
 type probe
@@ -241,10 +236,11 @@ val make_probe : unit -> probe
     {!probe_last_observed} is the empty footprint and
     {!probe_steps} is 0. *)
 
-val with_probe : probe -> (unit -> 'a) -> 'a
-(** [with_probe pr f] runs [f] with [pr] installed as the current
-    (domain-local) probe, restoring the previous one afterwards,
-    exceptions included. *)
+val with_monitors : ?shadow:shadow -> ?probe:probe -> (unit -> 'a) -> 'a
+(** [with_monitors ?shadow ?probe f] runs [f] with the given shadow
+    and/or probe installed as the current (domain-local) ones — an
+    omitted one leaves the current slot unchanged — restoring both
+    afterwards, exceptions included. *)
 
 val probe_steps : probe -> int
 (** Atomic steps completed under the probe so far — lets an engine
@@ -405,32 +401,51 @@ val register_object : (unit -> int) -> int
 
 val registry_digest : registry -> int
 (** A digest of the current shared state of every base object in the
-    registry: the XOR of one [combine id (reader ())] contribution per
-    object, maintained {e incrementally}, Zobrist-style — a write
-    reported through {!touch} marks its object dirty, and only dirty
-    objects are re-read here, so the cost is O(writes since the last
-    digest) rather than O(objects).  (Factories preallocate their
-    object pools — the register-consensus factory allocates thousands
-    of registers up front — so the full fold dominated every
-    configuration fingerprint.)
+    registry: one exact fold, the XOR of [combine id (reader ())] over
+    every registered object, re-read at every call.  It trusts nothing
+    but the readers — no write reporting, no cached contributions — and
+    costs O(objects + materialised pool cells): unbounded families of
+    cells are one {!pool} each, so registries stay small. *)
 
-    Exactness rests on the touch contract: every physical mutation of
-    a registered object's state is reported via [touch ~write:true]
-    with the owning object's id while its registry is current.  The
-    instrumented base-object layer does this by construction — stores
-    route through [Slx_base_objects.store], which reports the {e
-    owning} cell even when the surrounding atomic action misdeclares
-    its footprint — and the sanitizer shadow dynamically checks
-    precisely this reporting.  {!registry_digest_full} is the
-    cross-check. *)
+(** {2 Object pools}
 
-val registry_digest_full : registry -> int
-(** The same digest recomputed from scratch — O(objects), what
-    {!registry_digest} cost before the incremental scheme.  Equal to
-    {!registry_digest} unless some mutation bypassed the touch
-    contract (the incremental digest would then be stale, and the
-    divergence is the diagnostic); used by audits, tests and the
-    before/after microbenchmarks. *)
+    An unbounded family of cells sharing one initial value — the
+    rounds of a commit–adopt cascade, the slots of a consensus log —
+    with no capacity to choose.  {!Slx_base_objects} exposes pools of
+    registers and of CAS cells on top of this primitive. *)
+
+type 'a pool
+
+val make_pool : 'a -> 'a pool
+(** [make_pool init] is a fresh pool whose every cell holds [init].
+    It registers one reader with the current registry (one object id,
+    in registration order, like any base object) and reserves the next
+    few ids for its first cells. *)
+
+val pool_cell : 'a pool -> int -> int * 'a ref
+(** [pool_cell pl i] is the footprint id and the state of cell [i]
+    ([0 <= i < 2^31]), materialising it on first use.  Materialisation
+    takes {e no} scheduler step: it only allocates a cell holding the
+    pool's initial value, so algorithm code may call it between steps.
+
+    - {b Ids.}  Cell [i]'s id depends only on the pool's registration
+      order and [i], never on the schedule; it is distinct from every
+      other object's id, and the first cells' ids are reserved at
+      registration, in the footprint bitmask range.
+    - {b Space.}  Only materialised cells are stored.
+    - {b Digest.}  A cell equal to the initial value adds nothing to
+      {!registry_digest}, materialised or not.  The digest of a pooled
+      instance is therefore the digest an eager preallocation of every
+      cell would have, up to a constant: the same configuration-key
+      equivalence classes.
+
+    Base objects built on the cell must report its accesses through
+    {!touch} with the returned id, as for any registered object.
+
+    @raise Invalid_argument if [i] is outside [[0, 2^31)]. *)
+
+val pool_size : 'a pool -> int
+(** The number of materialised cells. *)
 
 val mix64 : int -> int
 (** A 64-bit finalizing mixer (xorshift-star family, 63-bit-safe

@@ -330,7 +330,7 @@ let test_sanitize_changes_nothing () =
 
 let test_sanitize_counts_in_live_search () =
   let open Slx_liveness in
-  let factory () = Slx_consensus.Register_consensus.factory ~max_rounds:8 () in
+  let factory () = Slx_consensus.Register_consensus.factory () in
   let invoke =
     Explore.workload_invoke
       (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))

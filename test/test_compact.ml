@@ -207,11 +207,10 @@ let live_leg ~factory ~l ~k ~depth =
     ~good:(fun _ -> true)
     ~point:(Freedom.make ~l ~k) ~depth ~max_crashes:1 ~dpor:true ()
 
-let register_factory ~depth () =
-  Slx_consensus.Register_consensus.factory ~max_rounds:(max 8 depth) ()
+let register_factory = Slx_consensus.Register_consensus.factory
 
 let test_register_cert_pinned () =
-  let r = live_leg ~factory:(register_factory ~depth:8) ~l:1 ~k:2 ~depth:8 in
+  let r = live_leg ~factory:(register_factory) ~l:1 ~k:2 ~depth:8 in
   check_int "register (1,2) d8: recorded runs" 35
     r.Live_explore.stats.Explore_stats.runs;
   match r.Live_explore.outcome with
@@ -235,60 +234,11 @@ let test_clean_live_runs_pinned () =
       r.Live_explore.stats.Explore_stats.runs
   in
   clean "register (1,1) d14" ~runs:7670
-    (live_leg ~factory:(register_factory ~depth:14) ~l:1 ~k:1 ~depth:14);
+    (live_leg ~factory:(register_factory) ~l:1 ~k:1 ~depth:14);
   clean "cas (2,2) d10" ~runs:1557
     (live_leg
        ~factory:(fun () -> Slx_consensus.Cas_consensus.factory ())
        ~l:2 ~k:2 ~depth:10)
-
-(* ------------------------------------------------------------------ *)
-(* The incremental shared-state digest agrees with the from-scratch    *)
-(* recomputation after every decision — for an honest implementation   *)
-(* and for the mis-declared fixtures (whose physical write-touches are *)
-(* still attached to the owning cell).                                 *)
-
-let test_incremental_digest_matches_full () =
-  let c =
-    Runner.Cursor.create ~n:2
-      ~factory:(Slx_consensus.Register_consensus.factory ())
-      ()
-  in
-  let check_step i d =
-    Runner.Cursor.apply c d;
-    check_bool
-      (Printf.sprintf "register consensus: digests agree after decision %d" i)
-      true
-      (Runner.Cursor.shared_digest c = Runner.Cursor.shared_digest_full c)
-  in
-  List.iteri check_step
-    [
-      Driver.Invoke (1, Slx_consensus.Consensus_type.Propose 0);
-      Driver.Schedule 1;
-      Driver.Invoke (2, Slx_consensus.Consensus_type.Propose 1);
-      Driver.Schedule 2;
-      Driver.Schedule 1;
-      Driver.Schedule 2;
-      Driver.Schedule 1;
-    ]
-
-let test_incremental_digest_matches_full_on_fixture () =
-  let c =
-    Runner.Cursor.create ~n:2 ~factory:Slx_analysis.Fixtures.leaky_factory ()
-  in
-  let check_step i d =
-    Runner.Cursor.apply c d;
-    check_bool
-      (Printf.sprintf "leaky fixture: digests agree after decision %d" i)
-      true
-      (Runner.Cursor.shared_digest c = Runner.Cursor.shared_digest_full c)
-  in
-  List.iteri check_step
-    [
-      Driver.Invoke (1, Slx_analysis.Fixtures.Poke 7);
-      Driver.Schedule 1;
-      Driver.Invoke (2, Slx_analysis.Fixtures.Peek);
-      Driver.Schedule 2;
-    ]
 
 let suites =
   [
@@ -302,10 +252,6 @@ let suites =
           test_register_cert_pinned;
         quick "clean live legs match the recorded run counts"
           test_clean_live_runs_pinned;
-        quick "incremental shared digest = full recomputation"
-          test_incremental_digest_matches_full;
-        quick "incremental shared digest survives mis-declared fixtures"
-          test_incremental_digest_matches_full_on_fixture;
       ]
       @ qcheck
           [

@@ -34,6 +34,38 @@ let test_register_solo_decides_own_value () =
   check_bool "bounded-fair" true (Fairness.is_bounded_fair r);
   check_bool "(1,1)-freedom holds" true (Freedom.holds ~good r (lk 1 1))
 
+let test_register_solo_step_count () =
+  (* Read the decision, write and collect phase 1, write and collect
+     phase 2, write the decision: 4 + 2n grants, as with eagerly
+     allocated rounds — round materialisation takes no step. *)
+  List.iter
+    (fun n ->
+      let r =
+        Runner.run ~n
+          ~factory:(Register_consensus.factory ())
+          ~driver:(Driver.solo 1 ~workload:(Driver.n_times 1 (fun _ _ ->
+                       Consensus_type.Propose 7)))
+          ~max_steps:100 ()
+      in
+      check_int (Printf.sprintf "solo propose at n=%d" n) (4 + (2 * n))
+        (Run_report.steps_total r 1))
+    [ 2; 3 ]
+
+let test_register_lockstep_past_4096_rounds () =
+  (* A lockstep round costs each process 7 grants at n=2; 60k ticks
+     run the tie well past 4096 rounds with no capacity to exhaust. *)
+  let r =
+    Consensus_adversary.run_lockstep
+      ~factory:(Register_consensus.factory ())
+      ~max_steps:60_000
+  in
+  check_bool "ran to the step budget" true (r.Run_report.stopped = `Max_steps);
+  check_bool "past 4096 rounds" true
+    (Run_report.steps_total r 1 > 7 * 4096
+    && Run_report.steps_total r 2 > 7 * 4096);
+  check_bool "still undecided" true
+    (Consensus_adversary.decisions r.Run_report.history = [])
+
 let test_register_consensus_safety_under_contention () =
   (* Whatever the schedule, agreement and validity must hold. *)
   List.iter
@@ -327,6 +359,9 @@ let suites =
     ( "consensus",
       [
         quick "solo decides own value" test_register_solo_decides_own_value;
+        quick "solo propose step count" test_register_solo_step_count;
+        quick "lockstep runs past 4096 rounds"
+          test_register_lockstep_past_4096_rounds;
         quick "safety under contention" test_register_consensus_safety_under_contention;
         quick "decides under random schedules"
           test_register_consensus_decides_under_random_schedules;

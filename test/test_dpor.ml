@@ -131,7 +131,7 @@ let test_register_cert_identity () =
   let run ~dpor ~invoke_order =
     Live_explore.search ~n:2
       ~factory:(fun () ->
-        Slx_consensus.Register_consensus.factory ~max_rounds:8 ())
+        Slx_consensus.Register_consensus.factory ())
       ~invoke:consensus_invoke
       ~good:(fun _ -> true)
       ~point:(Freedom.make ~l:1 ~k:2) ~depth:8 ~dpor ~invoke_order ()

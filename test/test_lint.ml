@@ -183,7 +183,7 @@ let test_shipped_tree_clean_with_exact_waivers () =
   Alcotest.(check (list string))
     "no unwaived findings on the shipped tree" []
     (List.map (Format.asprintf "%a" Finding.pp) rp.Lint.findings);
-  check_int "exactly the six shipped waivers in use" 6
+  check_int "exactly the five shipped waivers in use" 5
     (List.length rp.Lint.waived);
   check_bool "sweep actually covered the tree" true
     (List.length rp.Lint.files > 40)

@@ -13,12 +13,11 @@ let invoke =
   Explore.workload_invoke
     (Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1)))
 
-let reg_factory ?(depth = 10) () =
-  Slx_consensus.Register_consensus.factory ~max_rounds:(max 8 depth) ()
+let reg_factory = Slx_consensus.Register_consensus.factory
 
 let search_register ?(depth = 10) ?(max_crashes = 0) point =
   Live_explore.search ~n:2
-    ~factory:(fun () -> reg_factory ~depth ())
+    ~factory:reg_factory
     ~invoke ~good ~point ~depth ~max_crashes ()
 
 let search_cas ?(depth = 9) ?(max_crashes = 1) point =
@@ -87,7 +86,7 @@ let test_witness_deterministic_across_configs () =
   let reduced =
     lasso_exn "dpor"
       (Live_explore.search ~n:2
-         ~factory:(fun () -> reg_factory ())
+         ~factory:reg_factory
          ~invoke ~good ~point ~depth:8 ~dpor:true ())
   in
   check_bool "same stem on a re-run" true (base.Lasso.c_stem = again.Lasso.c_stem);
@@ -102,7 +101,7 @@ let test_invoke_order_reduction_sound () =
   let full = search_register ~depth:8 point in
   let reduced =
     Live_explore.search ~n:2
-      ~factory:(fun () -> reg_factory ())
+      ~factory:reg_factory
       ~invoke ~good ~point ~depth:8 ~invoke_order:true ()
   in
   let c = lasso_exn "reduced" reduced in
@@ -144,7 +143,7 @@ let test_clean_tree_independent_of_max_period () =
   in
   walk "register (1,1) d10" (fun max_period ->
       Live_explore.search ~n:2
-        ~factory:(fun () -> reg_factory ~depth:10 ())
+        ~factory:reg_factory
         ~invoke ~good ~point:Freedom.obstruction_freedom ~depth:10
         ~max_crashes:1 ?max_period ~dpor:true ());
   walk "cas (2,2) d10" (fun max_period ->
@@ -219,7 +218,7 @@ let prop_lasso_pumps =
       | Live_explore.No_fair_cycle -> false
       | Live_explore.Lasso c -> (
           match
-            Lasso.pump ~factory:(reg_factory ~depth ()) ~repetitions c
+            Lasso.pump ~factory:(reg_factory ()) ~repetitions c
           with
           | Error _ -> false
           | Ok rep -> Lasso.certified_violation ~good rep point))

@@ -235,7 +235,7 @@ let test_live_search_traced_matches_untraced () =
   let search ?obs () =
     Live_explore.search ~n:2
       ~factory:(fun () ->
-        Slx_consensus.Register_consensus.factory ~max_rounds:8 ())
+        Slx_consensus.Register_consensus.factory ())
       ~invoke
       ~good:(fun (_ : Slx_consensus.Consensus_type.response) -> true)
       ~point ~depth:6 ~max_crashes:1 ?obs ()

@@ -305,6 +305,85 @@ let test_atomic_outside_runner () =
     | _ -> false
     | exception Effect.Unhandled _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Object pools: schedule-independent ids, initial cells digest as     *)
+(* nothing.                                                            *)
+
+type pinv = Put of int * int  (* cell, value *)
+type pres = Id of int  (* the cell's footprint id *)
+
+(* Each operation writes one cell of a register pool and answers the
+   cell's footprint id. *)
+let pool_factory () : (pinv, pres) Runner.factory =
+ fun ~n:_ ->
+  let pl = Register.pool 0 in
+  fun ~proc:_ (Put (i, v)) ->
+    let id, _ = Runtime.pool_cell pl i in
+    Register.write (Register.cell pl i) v;
+    Id id
+
+let responses c =
+  List.filter_map
+    (fun e ->
+      match Event.response e with
+      | Some (Id id) -> Some (Event.proc e, id)
+      | None -> None)
+    (History.to_list (Runner.Cursor.view c).Driver.history)
+  |> List.sort compare
+
+let test_pool_ids_schedule_independent () =
+  (* P1 writes cell 12, P2 cell 2; the two schedules materialise them in
+     opposite orders and grant the writes in opposite orders. *)
+  let play decisions =
+    let c = Runner.Cursor.create ~n:2 ~factory:(pool_factory ()) () in
+    List.iter (Runner.Cursor.apply c) decisions;
+    c
+  in
+  let p1 = Driver.Invoke (1, Put (12, 1)) and p2 = Driver.Invoke (2, Put (2, 2)) in
+  let a = play [ p1; p2; Driver.Schedule 1; Driver.Schedule 2 ]
+  and b = play [ p2; p1; Driver.Schedule 2; Driver.Schedule 1 ] in
+  let ids = responses a in
+  check_int "both operations answered" 2 (List.length ids);
+  check_bool "identical cell ids" true (ids = responses b);
+  check_bool "distinct cells have distinct ids" true
+    (match ids with [ (_, x); (_, y) ] -> x <> y | _ -> false);
+  check_int "identical digests for equal states"
+    (Runner.Cursor.shared_digest a) (Runner.Cursor.shared_digest b);
+  let other = play [ p1; Driver.Schedule 1 ] in
+  check_bool "a different state digests differently" true
+    (Runner.Cursor.shared_digest other <> Runner.Cursor.shared_digest a)
+
+let test_pool_initial_cells_digest_as_nothing () =
+  let digest f =
+    let reg = Runtime.fresh_registry () in
+    Runtime.with_registry reg (fun () ->
+        let pl = Runtime.make_pool None in
+        let _decision = Register.make None in
+        f pl);
+    Runtime.registry_digest reg
+  in
+  let untouched = digest (fun _ -> ()) in
+  check_int "a materialised cell at its initial value adds nothing" untouched
+    (digest (fun pl -> ignore (Runtime.pool_cell pl 7)));
+  check_int "a cell written back to its initial value adds nothing" untouched
+    (digest (fun pl ->
+         let _, st = Runtime.pool_cell pl 3 in
+         st := Some 1;
+         st := None));
+  check_bool "a cell away from its initial value counts" true
+    (digest (fun pl -> snd (Runtime.pool_cell pl 3) := Some 1) <> untouched)
+
+let test_pool_reserved_and_sparse_cells () =
+  let reg = Runtime.fresh_registry () in
+  Runtime.with_registry reg (fun () ->
+      let pl = Runtime.make_pool 0 in
+      let id i = fst (Runtime.pool_cell pl i) in
+      let ids = List.map id [ 0; 7; 8; 1_000_000 ] in
+      let next = Runtime.register_object (fun () -> 0) in
+      check_bool "the first cells take the ids reserved after the pool's"
+        true (ids = [ 2; 9; (1 lsl 32) + 8; (1 lsl 32) + 1_000_000 ] && next = 10);
+      check_int "only the used cells are stored" 4 (Runtime.pool_size pl))
+
 let suites =
   [
     ( "sim",
@@ -334,5 +413,14 @@ let suites =
         quick "test-and-set" test_tas_semantics;
         quick "fetch-and-add" test_faa_semantics;
         quick "snapshot" test_snapshot_semantics;
+      ] );
+    ( "pool",
+      [
+        quick "ids and digests independent of first-touch order"
+          test_pool_ids_schedule_independent;
+        quick "initial cells digest as nothing, materialised or not"
+          test_pool_initial_cells_digest_as_nothing;
+        quick "reserved ids for the first cells, sparse storage"
+          test_pool_reserved_and_sparse_cells;
       ] );
   ]

@@ -369,11 +369,11 @@ let test_persist_corrupt_fallback () =
     | _ -> false)
 
 let test_previous_engine_answers_cold () =
-  (* Engine 8 stores predate the live search losing its suffix cache:
-     their live run counts at a small max period described a
-     cache-pruned tree.  Such a store must be discarded whole and the
-     query answered cold, never served warm. *)
-  let previous = Printf.sprintf "slx-engine-8+ocaml-%s" Sys.ocaml_version in
+  (* Engine 9 stores predate pooled instances: their register qids
+     hashed an eagerly preallocated instance, so no current query can
+     address them.  Such a store must be discarded whole and the query
+     answered cold, never served warm. *)
+  let previous = Printf.sprintf "slx-engine-9+ocaml-%s" Sys.ocaml_version in
   check_bool "the engine tag moved on" true (previous <> Store.engine_version);
   let path = temp_store () in
   let qid = safety_qid ~ident:"cas" ~factory:cas_factory in
@@ -390,8 +390,7 @@ let test_previous_engine_answers_cold () =
 (* Liveness: cold/warm/resume with pinned pump budget, and lasso
    re-validation on the Theorem 5.2 register certificate. *)
 
-let register8_factory () =
-  Slx_consensus.Register_consensus.factory ~max_rounds:8 ()
+let register_factory = Slx_consensus.Register_consensus.factory
 
 let live_qid ~ident ~factory ~point =
   Persist.query_key ~ident
@@ -472,14 +471,42 @@ let test_persist_live_small_max_period () =
   check_bool "re-query is warm" true (src = Persist.Warm);
   clean "warm" warm
 
+let test_persist_live_register_resume () =
+  (* One qid serves every depth of the register (1,1) leg, so a deeper
+     query resumes the stored frontier and counts the same tree as a
+     plain search. *)
+  let path = temp_store () in
+  let st = Store.open_ path in
+  let point = Freedom.obstruction_freedom in
+  let qid = live_qid ~ident:"register" ~factory:register_factory ~point in
+  let good (_ : Slx_consensus.Consensus_type.response) = true in
+  let run depth =
+    Persist.run_live ~store:st ~qid ~n:2 ~factory:register_factory
+      ~invoke:live_invoke ~good ~point ~depth ~max_crashes:1 ~max_period:5
+      ~pump_ticks:40 ~dpor:true ()
+  in
+  let runs r = r.Live_explore.stats.Explore_stats.runs in
+  let _, src = run 8 in
+  check_bool "depth 8 commits cold" true (src = Persist.Cold);
+  let deep, src = run 10 in
+  check_bool "depth 10 resumes" true (src = Persist.Resumed 8);
+  check_bool "resumed: no fair cycle" true
+    (deep.Live_explore.outcome = Live_explore.No_fair_cycle);
+  Alcotest.(check int) "resumed runs = storeless"
+    (runs
+       (Live_explore.search ~n:2 ~factory:register_factory ~invoke:live_invoke
+          ~good ~point ~depth:10 ~max_crashes:1 ~max_period:5 ~pump_ticks:40
+          ~dpor:true ()))
+    (runs deep)
+
 let test_persist_lasso_warm () =
   let path = temp_store () in
   let st = Store.open_ path in
   let point = Freedom.make ~l:1 ~k:2 in
-  let qid = live_qid ~ident:"register" ~factory:register8_factory ~point in
+  let qid = live_qid ~ident:"register" ~factory:register_factory ~point in
   let good (_ : Slx_consensus.Consensus_type.response) = true in
   let run () =
-    Persist.run_live ~store:st ~qid ~n:2 ~factory:register8_factory
+    Persist.run_live ~store:st ~qid ~n:2 ~factory:register_factory
       ~invoke:live_invoke ~good ~point ~depth:8 ~dpor:true ()
   in
   let cert r =
@@ -657,6 +684,8 @@ let suites =
           test_persist_live_cold_warm_resume;
         Alcotest.test_case "live resume at a small max period" `Quick
           test_persist_live_small_max_period;
+        Alcotest.test_case "live register resume across depths" `Quick
+          test_persist_live_register_resume;
         Alcotest.test_case "lasso re-validated warm" `Quick
           test_persist_lasso_warm;
       ] );

@@ -127,6 +127,26 @@ let prop_universal_linearizable =
       in
       Stack_lin.check r.Run_report.history)
 
+let test_oneshot_deep_slot_cells () =
+  (* Slot 40's round 0 sits at Cantor index 820; a solo proposal there
+     materialises only n phase-1, n phase-2 and one decision register. *)
+  let made = ref None in
+  let factory ~n =
+    let t = One_shot_consensus.Registers.make ~n () in
+    made := Some t;
+    fun ~proc v -> One_shot_consensus.Registers.propose t ~slot:40 ~proc v
+  in
+  let r =
+    Runner.run ~n:2 ~factory
+      ~driver:(Driver.solo 1 ~workload:(Driver.n_times 1 (fun _ _ -> 7)))
+      ~max_steps:100 ()
+  in
+  check_bool "decided its value" true
+    (List.exists (fun e -> Event.response e = Some 7)
+       (History.to_list r.Run_report.history));
+  check_int "registers materialised" 5
+    (One_shot_consensus.Registers.cells (Option.get !made))
+
 let suites =
   [
     ( "universal",
@@ -137,6 +157,8 @@ let suites =
         quick "register-consensus log, lockstep starves"
           test_universal_from_registers_lockstep_starves;
         quick "agreement across processes" test_universal_agreement_across_processes;
+        quick "one-shot registers: a deep slot materialises only its cells"
+          test_oneshot_deep_slot_cells;
       ]
       @ qcheck [ prop_universal_linearizable ] );
   ]
