@@ -1,6 +1,6 @@
 (* Bechamel performance benchmarks of the artifact itself (P1-P5 in
    DESIGN.md): checker scaling, simulator throughput, implementation
-   commit rates and adversary games. *)
+   commit rates, adversary games and run-length scaling. *)
 
 open Bechamel
 open Toolkit
@@ -301,6 +301,57 @@ let all_tests () =
     @ snapshot_substitution_tests @ universal_tests @ explore_tests
     @ checker_family_tests @ micro_tests @ game_tests)
 
+(* P6: run-length scaling.  Wall clock (best of 5) of the sampled
+   Figure 1 ingredients as the run length [steps] doubles: a linear
+   pipeline doubles its time with [steps], a quadratic one quadruples.
+   [opacity] checks the TM workload run's final history; [classify]
+   grades the TM workload and local-progress runs on the n = 3 grid. *)
+let best_ms f =
+  let once () =
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    1000. *. (Unix.gettimeofday () -. t0)
+  in
+  List.fold_left min infinity (List.init 5 (fun _ -> once ()))
+
+let scaling () =
+  let tm_run steps =
+    Runner.run ~n:3 ~factory:(Slx_tm.Agp_tm.factory ~vars:1)
+      ~driver:(Slx_tm.Tm_workload.random ~seed:1 ())
+      ~max_steps:steps ()
+  in
+  let lp_run steps =
+    Runner.run ~n:3 ~factory:(Slx_tm.Agp_tm.factory ~vars:1)
+      ~driver:
+        (Driver.with_crashes [ (0, 3) ]
+           (Slx_tm.Tm_adversary.local_progress_adversary ()))
+      ~max_steps:steps ()
+  in
+  let consensus_run steps =
+    Runner.run ~n:3
+      ~factory:(Slx_consensus.Register_consensus.factory ())
+      ~driver:(Driver.random ~seed:1 ~workload:consensus_workload ())
+      ~max_steps:steps ()
+  in
+  Printf.printf
+    "\n== run-length scaling (ms, best of 5) ==\n  %6s %7s %9s %11s %10s \
+     %8s %9s\n"
+    "steps" "events" "tm-run" "adversary" "consensus" "opacity" "classify";
+  List.iter
+    (fun steps ->
+      let tm = tm_run steps and lp = lp_run steps in
+      let h = tm.Run_report.history in
+      Printf.printf "  %6d %7d %9.2f %11.2f %10.2f %8.2f %9.2f\n%!" steps
+        (Slx_history.History.length h)
+        (best_ms (fun () -> tm_run steps))
+        (best_ms (fun () -> lp_run steps))
+        (best_ms (fun () -> consensus_run steps))
+        (best_ms (fun () -> Slx_tm.Opacity.check_final h))
+        (best_ms (fun () ->
+             Slx_core.Figure1.classify ~good:Slx_tm.Tm_type.good ~n:3
+               ~adversary:[ lp ] ~positive:[ tm ])))
+    [ 375; 750; 1500; 3000; 6000 ]
+
 let run () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -323,4 +374,5 @@ let run () =
   in
   List.iter
     (fun (name, est) -> Printf.printf "  %-44s %14.0f ns\n" name est)
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows)
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
+  scaling ()

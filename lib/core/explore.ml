@@ -77,14 +77,7 @@ let run_of_codes ~n ~factory ~invoke codes =
   let len = List.length ds in
   (ds, Runner.Cursor.report cursor ~window:(max len 1) ())
 
-let workload_invoke workload view p =
-  let issued =
-    History.length
-      (History.filter
-         (fun e -> Event.is_invocation e && Proc.equal (Event.proc e) p)
-         view.Driver.history)
-  in
-  workload p issued
+let workload_invoke workload view p = workload p (view.Driver.invocations p)
 
 (* The packed int the [Decision] telemetry event carries. *)
 let dec_code = function
@@ -111,13 +104,7 @@ let decision_menu ~n ~invoke ~depth ~max_crashes ~symmetry view len crashes =
   if len >= depth then ([], 0)
   else begin
     let pruned = ref 0 in
-    let untouched p =
-      History.length
-        (History.filter
-           (fun e -> Proc.equal (Event.proc e) p)
-           view.Driver.history)
-      = 0
-    in
+    let untouched p = view.Driver.events p = [] in
     let rep_invoke =
       if not symmetry then None
       else

@@ -13,10 +13,14 @@ type grid = {
 }
 
 let classify ~good ~n ~adversary ~positive =
-  let fair = List.filter Fairness.is_bounded_fair in
+  (* Each run's window facts are summarised once, not once per point. *)
+  let fair runs =
+    List.filter Fairness.is_bounded_fair_summary
+      (List.map Run_report.summary runs)
+  in
   let adversary = fair adversary and positive = fair positive in
   let color point =
-    let violates r = not (Freedom.holds ~good r point) in
+    let violates s = not (Freedom.holds_summary ~good s point) in
     if List.exists violates adversary then Excluded
     else if List.exists violates positive then Unknown
     else Not_excluded

@@ -16,12 +16,11 @@ module S_freedom = struct
   let cardinalities t = Int_set.elements t
 
   let holds ~good r t =
-    let active = Run_report.active_procs r in
-    let correct = Run_report.correct_procs r in
+    let s = Run_report.summary r in
     if
-      Proc.Set.subset active correct
-      && Int_set.mem (Proc.Set.cardinal active) t
-    then Proc.Set.for_all (Run_report.makes_progress ~good r) active
+      Proc.Set.subset s.active s.correct
+      && Int_set.mem (Proc.Set.cardinal s.active) t
+    then Proc.Set.for_all (Run_report.summary_progress ~good s) s.active
     else true
 
   let stronger_equal a b = Int_set.subset b a
@@ -47,17 +46,16 @@ module Nx_liveness = struct
     { n; x }
 
   let holds ~good r t =
-    let active = Run_report.active_procs r in
-    let correct = Run_report.correct_procs r in
+    let s = Run_report.summary r in
+    let progress = Run_report.summary_progress ~good s in
     let wait_free_part =
       Proc.Set.for_all
-        (fun p -> p > t.x || Run_report.makes_progress ~good r p)
-        (Proc.Set.inter active correct)
+        (fun p -> p > t.x || progress p)
+        (Proc.Set.inter s.active s.correct)
     in
     let obstruction_part =
-      match Proc.Set.elements active with
-      | [ p ] when Proc.Set.mem p correct ->
-          Run_report.makes_progress ~good r p
+      match Proc.Set.elements s.active with
+      | [ p ] when Proc.Set.mem p s.correct -> progress p
       | _ -> true
     in
     wait_free_part && obstruction_part

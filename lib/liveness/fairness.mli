@@ -29,3 +29,6 @@ val is_bounded_fair : ('inv, 'res) Run_report.t -> bool
 val starved : ('inv, 'res) Run_report.t -> Slx_history.Proc.Set.t
 (** The correct processes with no step in the window — the witnesses of
     unfairness, useful in error messages. *)
+
+val is_bounded_fair_summary : 'res Run_report.window_summary -> bool
+(** {!is_bounded_fair} on a run's {!Run_report.summary}. *)

@@ -21,13 +21,12 @@ let equal a b = a.l = b.l && a.k = b.k
 
 let pp fmt t = Format.fprintf fmt "(%d,%d)-freedom" t.l t.k
 
-let explain ~good r t =
-  let active = Run_report.active_procs r in
-  if Proc.Set.cardinal active > t.k then `Vacuous
+let explain_summary ~good (s : _ Run_report.window_summary) t =
+  if Proc.Set.cardinal s.active > t.k then `Vacuous
   else begin
-    let correct = Run_report.correct_procs r in
+    let correct = s.correct in
     let progressing =
-      Proc.Set.filter (Run_report.makes_progress ~good r) correct
+      Proc.Set.filter (Run_report.summary_progress ~good s) correct
     in
     let ok =
       if Proc.Set.cardinal correct >= t.l then
@@ -37,8 +36,14 @@ let explain ~good r t =
     if ok then `Holds else `Violated (Proc.Set.diff correct progressing)
   end
 
-let holds ~good r t =
-  match explain ~good r t with `Holds | `Vacuous -> true | `Violated _ -> false
+let explain ~good r t = explain_summary ~good (Run_report.summary r) t
+
+let holds_summary ~good s t =
+  match explain_summary ~good s t with
+  | `Holds | `Vacuous -> true
+  | `Violated _ -> false
+
+let holds ~good r t = holds_summary ~good (Run_report.summary r) t
 
 let violated_on_cycle ~correct ~active ~progressed t =
   Proc.Set.cardinal active <= t.k

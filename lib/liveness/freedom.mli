@@ -73,6 +73,11 @@ val explain :
       (** The correct processes that failed to make progress. *) ]
 (** Like {!holds} but with a verdict explaining why. *)
 
+val holds_summary :
+  good:('res -> bool) -> 'res Run_report.window_summary -> t -> bool
+(** {!holds} on a run's {!Run_report.summary}, for callers evaluating
+    many points on one run. *)
+
 val violated_on_cycle :
   correct:Slx_history.Proc.Set.t ->
   active:Slx_history.Proc.Set.t ->

@@ -53,8 +53,8 @@ let holds_lock view p =
     | Event.Response (_, Released) :: _ -> `Free
     | (Event.Invocation _ | Event.Crash _) :: rest -> last_status rest
   in
-  (* Scan [p]'s responses backwards. *)
-  last_status (List.rev (History.to_list (History.project view.Driver.history p)))
+  (* Scan [p]'s events backwards, newest first. *)
+  last_status (view.Driver.events p)
 
 let next_invocation view p =
   match holds_lock view p with `Held -> Release | `Free -> Acquire

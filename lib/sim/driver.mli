@@ -16,13 +16,27 @@ open Slx_history
 (** What the driver can observe: the external history so far, process
     statuses, step counts and the clock.  Drivers cannot see base
     objects or local states — like the paper's adversary, they observe
-    only external actions. *)
+    only external actions.
+
+    A driver is consulted once per tick, so anything it reads from
+    [history] that grows with the run makes the whole run quadratic.
+    The per-process fields [events] and [invocations] are the O(1)
+    alternative the runner keeps up to date: drivers and workloads must
+    not rescan [history] (with [History.to_list], [project], [filter]
+    or [responses_of]) on every tick. *)
 type ('inv, 'res) view = {
   time : int;
   n : int;
   history : ('inv, 'res) History.t;
   status : Proc.t -> Runtime.status;
   steps : Proc.t -> int;
+  events : Proc.t -> ('inv, 'res) Event.t list;
+      (** [events p] is [h|p], newest first: the reverse of
+          [History.to_list (History.project history p)], in O(1).
+          Walk it only back as far as needed. *)
+  invocations : Proc.t -> int;
+      (** How many invocations process [p] has issued so far, in
+          O(1). *)
 }
 
 type ('inv, 'res) decision =

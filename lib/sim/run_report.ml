@@ -20,32 +20,61 @@ let steps_total r p =
     (fun acc (_, q) -> if Proc.equal p q then acc + 1 else acc)
     0 r.grants
 
-let steps_in_window r p =
-  List.fold_left
-    (fun acc (t, q) ->
-      if Proc.equal p q && in_window r t then acc + 1 else acc)
-    0 r.grants
+type 'res window_summary = {
+  active : Proc.Set.t;
+  correct : Proc.Set.t;
+  window_steps : int Proc.Map.t;
+  window_responses : 'res list Proc.Map.t;
+}
 
-let active_procs r =
-  List.fold_left
-    (fun acc (t, q) -> if in_window r t then Proc.Set.add q acc else acc)
-    Proc.Set.empty r.grants
+let summary r =
+  let inside = in_window r in
+  let active, window_steps =
+    List.fold_left
+      (fun ((active, steps) as acc) (t, q) ->
+        if not (inside t) then acc
+        else
+          ( Proc.Set.add q active,
+            Proc.Map.add q
+              (1 + Option.value (Proc.Map.find_opt q steps) ~default:0)
+              steps ))
+      (Proc.Set.empty, Proc.Map.empty)
+      r.grants
+  in
+  let _, rev_responses =
+    List.fold_left
+      (fun (i, acc) e ->
+        let acc =
+          match e with
+          | Event.Response (p, res) when inside r.event_times.(i) ->
+              Proc.Map.add p
+                (res :: Option.value (Proc.Map.find_opt p acc) ~default:[])
+                acc
+          | Event.Response _ | Event.Invocation _ | Event.Crash _ -> acc
+        in
+        (i + 1, acc))
+      (0, Proc.Map.empty)
+      (History.to_list r.history)
+  in
+  {
+    active;
+    correct = Proc.Set.diff (Proc.Set.of_list (Proc.all ~n:r.n)) r.crashed;
+    window_steps;
+    window_responses = Proc.Map.map List.rev rev_responses;
+  }
 
-let correct_procs r =
-  Proc.Set.diff (Proc.Set.of_list (Proc.all ~n:r.n)) r.crashed
+let summary_steps s p =
+  Option.value (Proc.Map.find_opt p s.window_steps) ~default:0
 
-let responses_in_window r p =
-  let events = History.to_list r.history in
-  List.filteri (fun i _ -> in_window r r.event_times.(i)) events
-  |> List.filter_map (fun e ->
-         if Proc.equal (Event.proc e) p then Event.response e else None)
+let summary_responses s p =
+  Option.value (Proc.Map.find_opt p s.window_responses) ~default:[]
 
-let makes_progress ~good r p =
-  List.exists good (responses_in_window r p)
+let summary_progress ~good s p = List.exists good (summary_responses s p)
 
 let pp ~pp_inv ~pp_res fmt r =
+  let s = summary r in
   let pp_steps fmt p =
-    Format.fprintf fmt "%a:%d/%d" Proc.pp p (steps_in_window r p)
+    Format.fprintf fmt "%a:%d/%d" Proc.pp p (summary_steps s p)
       (steps_total r p)
   in
   Format.fprintf fmt

@@ -44,21 +44,38 @@ val in_window : ('inv, 'res) t -> int -> bool
 val steps_total : ('inv, 'res) t -> Proc.t -> int
 (** Total scheduling grants received by a process. *)
 
-val steps_in_window : ('inv, 'res) t -> Proc.t -> int
+(** {1 The window summary}
+
+    Every window fact the liveness checkers read, computed in one pass
+    over the grants and the history.  Checkers that evaluate many
+    points or processes on the same run compute it once. *)
+
+type 'res window_summary = {
+  active : Proc.Set.t;
+      (** Processes taking at least one step inside the window — the
+          bounded reading of “processes that take infinitely many
+          steps”. *)
+  correct : Proc.Set.t;  (** Non-crashed processes, among [1..n]. *)
+  window_steps : int Proc.Map.t;
+      (** Grants received by each process inside the window; processes
+          without one are absent. *)
+  window_responses : 'res list Proc.Map.t;
+      (** Responses received by each process at times inside the
+          window, in order; processes without one are absent. *)
+}
+
+val summary : ('inv, 'res) t -> 'res window_summary
+(** The window summary of a run, in one pass. *)
+
+val summary_steps : 'res window_summary -> Proc.t -> int
 (** Grants received by a process inside the window. *)
 
-val active_procs : ('inv, 'res) t -> Proc.Set.t
-(** Processes taking at least one step inside the window — the bounded
-    reading of “processes that take infinitely many steps”. *)
+val summary_responses : 'res window_summary -> Proc.t -> 'res list
+(** Responses received by a process inside the window, in order. *)
 
-val correct_procs : ('inv, 'res) t -> Proc.Set.t
-(** Non-crashed processes, among [1..n]. *)
-
-val responses_in_window : ('inv, 'res) t -> Proc.t -> 'res list
-(** Responses received by a process at times inside the window. *)
-
-val makes_progress : good:('res -> bool) -> ('inv, 'res) t -> Proc.t -> bool
-(** [makes_progress ~good r p] iff [p] receives at least one response
+val summary_progress :
+  good:('res -> bool) -> 'res window_summary -> Proc.t -> bool
+(** [summary_progress ~good s p] iff [p] receives at least one response
     satisfying [good] inside the window — the bounded reading of the
     paper's “process [p] makes progress” (Section 5.1). *)
 

@@ -28,6 +28,12 @@ module Cursor = struct
     probe : Runtime.probe option;
     encode : (int -> ('inv, 'res) Event.t -> int) option;
     mutable hist_id : int;
+    rev_proc_events : ('inv, 'res) Event.t list array;
+    invocations : int array;
+    status_of : Proc.t -> Runtime.status;
+    steps_of : Proc.t -> int;
+    events_of : Proc.t -> ('inv, 'res) Event.t list;
+    invocations_of : Proc.t -> int;
   }
 
   let create ~n ~factory ?(ticks = ref 0) ?shadow ?probe ?encode () =
@@ -38,22 +44,37 @@ module Cursor = struct
       Runtime.with_monitors ?shadow (fun () ->
           Runtime.with_registry registry (fun () -> factory ~n))
     in
+    let cells = Array.init (n + 1) (fun _ -> Runtime.make_cell ()) in
+    let step_counts = Array.make (n + 1) 0 in
+    let rev_proc_events = Array.make (n + 1) [] in
+    let invocations = Array.make (n + 1) 0 in
+    (* The view's closures read only these arrays, so they are built
+       once here and shared by every [view] of the cursor. *)
+    let valid p =
+      if not (Proc.is_valid ~n p) then invalid_arg "Runner: bad process id"
+    in
     {
       n;
       impl;
       registry;
-      cells = Array.init (n + 1) (fun _ -> Runtime.make_cell ());
+      cells;
       history = History.empty;
       rev_event_times = [];
       time = 0;
       rev_grants = [];
-      step_counts = Array.make (n + 1) 0;
+      step_counts;
       crashed = Proc.Set.empty;
       ticks;
       shadow;
       probe;
       encode;
       hist_id = 0;
+      rev_proc_events;
+      invocations;
+      status_of = (fun p -> valid p; Runtime.status cells.(p));
+      steps_of = (fun p -> step_counts.(p));
+      events_of = (fun p -> rev_proc_events.(p));
+      invocations_of = (fun p -> invocations.(p));
     }
 
   let cell c p =
@@ -65,8 +86,10 @@ module Cursor = struct
       Driver.time = c.time;
       n = c.n;
       history = c.history;
-      status = (fun p -> Runtime.status (cell c p));
-      steps = (fun p -> c.step_counts.(p));
+      status = c.status_of;
+      steps = c.steps_of;
+      events = c.events_of;
+      invocations = c.invocations_of;
     }
 
   let pending c p = Runtime.pending_footprint (cell c p)
@@ -74,6 +97,9 @@ module Cursor = struct
 
   let record c e =
     c.history <- History.append c.history e;
+    let p = Event.proc e in
+    c.rev_proc_events.(p) <- e :: c.rev_proc_events.(p);
+    if Event.is_invocation e then c.invocations.(p) <- c.invocations.(p) + 1;
     c.rev_event_times <- c.time :: c.rev_event_times;
     (* Incremental history interning: with an [encode] hook installed
        the cursor maintains a single small-int stand-in for the whole

@@ -16,6 +16,10 @@ val strict : Tm_type.history -> bool
 val plain : Tm_type.history -> bool
 (** Same, preserving only per-process program order. *)
 
+val program_order : Transaction.t -> Transaction.t -> bool
+(** The precedence relation {!plain} respects: [t1] precedes [t2] iff
+    both run on the same process and [t1] started first. *)
+
 val property_strict : Tm_type.history Slx_safety.Property.t
 (** ["strict-serializability"]. *)
 

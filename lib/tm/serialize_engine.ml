@@ -17,8 +17,6 @@ module Store = struct
       store writes
 end
 
-module Int_set = Set.Make (Int)
-
 (* Can transaction [txn] execute legally against [store]?  Simulates
    its operations: reads see the transaction's own earlier writes,
    otherwise the store. *)
@@ -39,52 +37,88 @@ let legal store txn =
 let search_rev ~precedes txns =
   let txns = Array.of_list txns in
   let count = Array.length txns in
-  let visited : (Int_set.t * Store.t, unit) Hashtbl.t = Hashtbl.create 512 in
-  let ready placed i =
-    (not (Int_set.mem i placed))
-    && (let ok = ref true in
-        for j = 0 to count - 1 do
-          if
-            (not (Int_set.mem j placed))
-            && j <> i
-            && precedes txns.(j) txns.(i)
-          then ok := false
-        done;
-        !ok)
+  (* [preds.(i)] counts the unplaced transactions that must precede
+     [i], kept current as the search places and unplaces, so readiness
+     is [preds.(i) = 0]. *)
+  let preds = Array.make count 0 in
+  for i = 0 to count - 1 do
+    for j = 0 to count - 1 do
+      if i <> j && precedes txns.(j) txns.(i) then preds.(i) <- preds.(i) + 1
+    done
+  done;
+  let shift i d =
+    for s = 0 to count - 1 do
+      if s <> i && precedes txns.(i) txns.(s) then preds.(s) <- preds.(s) + d
+    done
   in
-  let rec go placed store acc =
-    if Int_set.cardinal placed = count then Some acc
-    else if Hashtbl.mem visited (placed, store) then None
-    else begin
-      Hashtbl.add visited (placed, store) ();
-      let try_txn i =
-        if not (ready placed i) then None
-        else
-          let txn = txns.(i) in
-          if not (legal store txn) then None
+  (* The placed set as a bitset; its string copy and the store are the
+     exact memo key. *)
+  let placed = Bytes.make ((count + 7) / 8) '\000' in
+  let is_placed i =
+    Char.code (Bytes.get placed (i lsr 3)) land (1 lsl (i land 7)) <> 0
+  in
+  let flip i =
+    let b = Char.code (Bytes.get placed (i lsr 3)) in
+    Bytes.set placed (i lsr 3) (Char.chr (b lxor (1 lsl (i land 7))))
+  in
+  let n_placed = ref 0 in
+  let place i =
+    flip i;
+    incr n_placed;
+    shift i (-1)
+  in
+  let unplace i =
+    flip i;
+    decr n_placed;
+    shift i 1
+  in
+  let visited : (string * Store.t, unit) Hashtbl.t = Hashtbl.create 512 in
+  let rec go store acc =
+    if !n_placed = count then Some acc
+    else
+      let key = (Bytes.to_string placed, store) in
+      if Hashtbl.mem visited key then None
+      else begin
+        Hashtbl.add visited key ();
+        let rec try_from i =
+          if i = count then None
           else
-            let placed' = Int_set.add i placed in
-            let acc' = txn :: acc in
-            (* Enumerate the completion: committed transactions apply
-               their writes; commit-pending ones may go either way;
-               aborted and live ones never commit. *)
-            let as_committed () =
-              go placed' (Store.commit store (Transaction.writes txn)) acc'
-            in
-            let as_aborted () = go placed' store acc' in
-            match txn.Transaction.status with
-            | Transaction.Committed -> as_committed ()
-            | Transaction.Aborted | Transaction.Live -> as_aborted ()
-            | Transaction.Commit_pending -> begin
-                match as_committed () with
-                | Some _ as result -> result
-                | None -> as_aborted ()
-              end
-      in
-      List.find_map try_txn (List.init count (fun i -> i))
-    end
+            match try_txn store acc i with
+            | Some _ as result -> result
+            | None -> try_from (i + 1)
+        in
+        try_from 0
+      end
+  and try_txn store acc i =
+    if is_placed i || preds.(i) > 0 then None
+    else
+      let txn = txns.(i) in
+      if not (legal store txn) then None
+      else begin
+        place i;
+        let acc' = txn :: acc in
+        (* Enumerate the completion: committed transactions apply
+           their writes; commit-pending ones may go either way;
+           aborted and live ones never commit. *)
+        let as_committed () =
+          go (Store.commit store (Transaction.writes txn)) acc'
+        in
+        let as_aborted () = go store acc' in
+        let result =
+          match txn.Transaction.status with
+          | Transaction.Committed -> as_committed ()
+          | Transaction.Aborted | Transaction.Live -> as_aborted ()
+          | Transaction.Commit_pending -> begin
+              match as_committed () with
+              | Some _ as result -> result
+              | None -> as_aborted ()
+            end
+        in
+        unplace i;
+        result
+      end
   in
-  go Int_set.empty Store.empty []
+  go Store.empty []
 
 let search ~precedes txns =
   Option.map List.rev (search_rev ~precedes txns)

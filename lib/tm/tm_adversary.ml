@@ -10,10 +10,7 @@ let commits h =
   in
   List.map (fun p -> (p, count p)) (Proc.Set.elements (History.procs h))
 
-let last_response view p =
-  match List.rev (History.responses_of view.Driver.history p) with
-  | r :: _ -> Some r
-  | [] -> None
+let last_response view p = List.find_map Event.response (view.Driver.events p)
 
 (* ------------------------------------------------------------------ *)
 (* The Section 4.1 local-progress adversary.                           *)

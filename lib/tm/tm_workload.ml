@@ -4,7 +4,6 @@ open Slx_sim
 let next_invocation view p =
   (* Replay the process's events since its last [start] to find its
      position in the canonical increment transaction. *)
-  let events = History.to_list (History.project view.Driver.history p) in
   let rec in_txn last_read = function
     | [] ->
         (* Transaction open: next op per position. *)
@@ -19,41 +18,25 @@ let next_invocation view p =
         | Some _ ->
             (* The write completed; commit next (no further responses
                expected before tryC in this program). *)
-            after_write rest
+            Tm_type.Try_commit
         | None -> in_txn last_read rest
       end
     | Event.Response (_, (Tm_type.Committed | Tm_type.Aborted)) :: _ ->
-        (* Closed: should have been caught by the outer scan. *)
+        (* Closed: [since_start] stops at the closing response. *)
         Tm_type.Start
     | (Event.Invocation _ | Event.Crash _) :: rest -> in_txn last_read rest
-  and after_write = function
-    | [] -> Tm_type.Try_commit
-    | _ :: rest -> after_write rest
   in
-  (* Rebuild the list of events after the last Start, in order. *)
-  let rec split_last_start rev_before = function
-    | [] -> None
-    | Event.Invocation (_, Tm_type.Start) :: rest ->
-        (* Candidate; look for a later one first. *)
-        begin
-          match split_last_start [] rest with
-          | Some tail -> Some tail
-          | None -> Some rest
-        end
-    | e :: rest -> split_last_start (e :: rev_before) rest
+  (* Walk back, newest first, to the last [start]; [tail] collects the
+     events after it in chronological order.  A commit or abort on the
+     way means the last transaction is closed (or there was none). *)
+  let rec since_start tail = function
+    | [] -> Tm_type.Start
+    | Event.Response (_, (Tm_type.Committed | Tm_type.Aborted)) :: _ ->
+        Tm_type.Start
+    | Event.Invocation (_, Tm_type.Start) :: _ -> in_txn None tail
+    | e :: older -> since_start (e :: tail) older
   in
-  match split_last_start [] events with
-  | None -> Tm_type.Start
-  | Some tail ->
-      let closed =
-        List.exists
-          (fun e ->
-            match e with
-            | Event.Response (_, (Tm_type.Committed | Tm_type.Aborted)) -> true
-            | Event.Response _ | Event.Invocation _ | Event.Crash _ -> false)
-          tail
-      in
-      if closed then Tm_type.Start else in_txn None tail
+  since_start [] (view.Driver.events p)
 
 let eligible view p =
   match view.Driver.status p with

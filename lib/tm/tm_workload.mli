@@ -21,7 +21,8 @@ val next_invocation :
   Slx_history.Proc.t ->
   Tm_type.invocation
 (** The next protocol-legal invocation for an idle process, derived
-    from its projected history. *)
+    from its projected history ([view.events], walked back only to the
+    last [start]). *)
 
 val round_robin :
   ?procs:Slx_history.Proc.t list ->

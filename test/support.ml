@@ -76,3 +76,26 @@ let pp_register_history fmt h =
     ~pp_res:Register_type.pp_response fmt h
 
 let register_history_print h = Format.asprintf "%a" pp_register_history h
+
+(* The per-process view fields, derived from the whole history by a
+   rescan: the reference the runner's O(1) [Driver.view] fields must
+   agree with. *)
+let events_of_history h p = List.rev (History.to_list (History.project h p))
+
+let invocations_of_history h p =
+  History.count
+    (fun e -> Event.is_invocation e && Proc.equal (Event.proc e) p)
+    h
+
+(* A hand-built driver view of a history at time 0, every process idle
+   with no steps. *)
+let view_of_history ~n h : _ Slx_sim.Driver.view =
+  {
+    Slx_sim.Driver.time = 0;
+    n;
+    history = h;
+    status = (fun _ -> Slx_sim.Runtime.Idle);
+    steps = (fun _ -> 0);
+    events = events_of_history h;
+    invocations = invocations_of_history h;
+  }

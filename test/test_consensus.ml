@@ -113,7 +113,7 @@ let test_lockstep_prevents_decision () =
   check_bool "safety still holds" true (safety_holds r);
   check_bool "run is bounded-fair" true (Fairness.is_bounded_fair r);
   check_bool "both processes active" true
-    (Proc.Set.equal (Run_report.active_procs r) (Proc.Set.of_list [ 1; 2 ]))
+    (Proc.Set.equal (Run_report.summary r).active (Proc.Set.of_list [ 1; 2 ]))
 
 let test_lockstep_violates_lk_for_k_ge_2 () =
   let r =

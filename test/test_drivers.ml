@@ -96,9 +96,10 @@ let test_run_report_accessors () =
     && (not (Run_report.in_window r 9))
     && not (Run_report.in_window r 20));
   check_bool "steps split consistent" true
-    (Run_report.steps_in_window r 1 <= Run_report.steps_total r 1);
+    (Run_report.summary_steps (Run_report.summary r) 1
+    <= Run_report.steps_total r 1);
   check_bool "responses in window subset of all" true
-    (List.length (Run_report.responses_in_window r 1)
+    (List.length (Run_report.summary_responses (Run_report.summary r) 1)
     <= List.length (History.responses_of r.Run_report.history 1))
 
 let test_report_pp_smoke () =

@@ -119,9 +119,9 @@ let test_window_accounting () =
   check_int "default window is half" 20 r.Run_report.window;
   check_int "window start" 20 (Run_report.window_start r);
   check_bool "both active in window" true
-    (Proc.Set.equal (Run_report.active_procs r) (Proc.Set.of_list [ 1; 2 ]));
+    (Proc.Set.equal (Run_report.summary r).active (Proc.Set.of_list [ 1; 2 ]));
   check_bool "progress in window" true
-    (Run_report.makes_progress ~good:(fun _ -> true) r 1)
+    (Run_report.summary_progress ~good:(fun _ -> true) (Run_report.summary r) 1)
 
 let test_solo_driver_restricts () =
   let r = run_counter ~n:3 ~max_steps:30 (Driver.solo 2 ~workload) in
@@ -384,6 +384,52 @@ let test_pool_reserved_and_sparse_cells () =
         true (ids = [ 2; 9; (1 lsl 32) + 8; (1 lsl 32) + 1_000_000 ] && next = 10);
       check_int "only the used cells are stored" 4 (Runtime.pool_size pl))
 
+(* ------------------------------------------------------------------ *)
+(* The O(1) per-process view fields agree with a history rescan.       *)
+
+(* [audited d] behaves like [d] but first checks, at every tick, that
+   the view's [events] and [invocations] agree with the history; the
+   returned flag turns false at the first disagreement. *)
+let audited d =
+  let ok = ref true in
+  let driver view =
+    let h = view.Driver.history in
+    List.iter
+      (fun p ->
+        if
+          view.Driver.events p <> events_of_history h p
+          || view.Driver.invocations p <> invocations_of_history h p
+        then ok := false)
+      (Proc.all ~n:view.Driver.n);
+    d view
+  in
+  (driver, ok)
+
+let view_consistent ~n ~factory ~max_steps d =
+  let driver, ok = audited d in
+  let r = Runner.run ~n ~factory ~driver ~max_steps () in
+  !ok && History.length r.Run_report.history > 0
+
+let prop_view_fields_consistent =
+  QCheck2.Test.make ~name:"view events/invocations match the history"
+    ~count:20
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 2 3))
+    (fun (seed, n) ->
+      let propose =
+        Driver.forever (fun p -> Slx_consensus.Consensus_type.Propose (p - 1))
+      in
+      let consensus = Slx_consensus.Register_consensus.factory () in
+      view_consistent ~n ~factory:consensus ~max_steps:300
+        (Driver.random ~seed ~workload:propose ())
+      && view_consistent ~n ~factory:consensus ~max_steps:300
+           (Chaos.driver ~seed ~crash_probability:0.02 ~workload:propose ())
+      && view_consistent ~n ~factory:(Slx_tm.Agp_tm.factory ~vars:1)
+           ~max_steps:300
+           (Slx_tm.Tm_workload.random ~seed ())
+      && view_consistent ~n ~factory:(Slx_objects.Bakery.factory ())
+           ~max_steps:300
+           (Slx_objects.Mutex.random_workload ~seed ()))
+
 let suites =
   [
     ( "sim",
@@ -405,7 +451,8 @@ let suites =
         quick "runtime crash unwinds" test_runtime_crash_unwinds;
         quick "runtime crash idle" test_runtime_crash_idle;
         quick "atomic outside runner" test_atomic_outside_runner;
-      ] );
+      ]
+      @ qcheck [ prop_view_fields_consistent ] );
     ( "base-objects",
       [
         quick "register" test_register_semantics;

@@ -572,13 +572,7 @@ let test_tm_workload_transitions () =
   (* Build driver views by hand and check next_invocation walks the
      canonical transaction program. *)
   let view_of events : (Tm_type.invocation, Tm_type.response) Driver.view =
-    {
-      Driver.time = 0;
-      n = 1;
-      history = h_of events;
-      status = (fun _ -> Slx_sim.Runtime.Idle);
-      steps = (fun _ -> 0);
-    }
+    view_of_history ~n:1 (h_of events)
   in
   let next events = Tm_workload.next_invocation (view_of events) 1 in
   check_bool "fresh process starts" true (next [] = Tm_type.Start);
@@ -596,6 +590,83 @@ let test_tm_workload_transitions () =
     = Tm_type.Start);
   check_bool "after abort anywhere: start afresh" true
     (next [ start 1; ok 1; read 1 0; aborted 1 ] = Tm_type.Start)
+
+(* ------------------------------------------------------------------ *)
+(* The incremental serialization search against the reference oracle. *)
+
+(* Histories of every TM under the random workload and both
+   adversaries, plus a copy of each in which every value process 1
+   reads is shifted past anything the workload writes (it only writes
+   small increments), the events kept in place — so the search must
+   also report that no serialization exists. *)
+let differential_histories ~seed ~max_steps =
+  let tms =
+    [
+      Agp_tm.factory ~vars:1;
+      I12.factory ~vars:1;
+      Tl2_tm.factory ();
+      Mutual_abort_tm.factory ~vars:1;
+    ]
+  in
+  let history ~n factory driver =
+    (Runner.run ~n ~factory ~driver ~max_steps ()).Run_report.history
+  in
+  let skew h =
+    History.of_list
+      (List.map
+         (function
+           | Event.Response (p, Tm_type.Val v) when Proc.equal p 1 ->
+               Event.Response (p, Tm_type.Val (v + 1_000_000))
+           | e -> e)
+         (History.to_list h))
+  in
+  List.concat_map
+    (fun factory ->
+      let hs =
+        [
+          history ~n:3 factory (Tm_workload.random ~seed ());
+          history ~n:2 factory (Tm_adversary.local_progress_adversary ());
+          history ~n:3 factory (Tm_adversary.three_way_adversary ());
+        ]
+      in
+      hs @ List.map skew hs)
+    tms
+
+(* Every compared search must agree with the reference, and the
+   searches of one case must both find a witness and refute one, so
+   both outcomes are known to be compared. *)
+let prop_serializer_matches_reference =
+  QCheck2.Test.make ~name:"serialization search matches the reference"
+    ~count:6
+    QCheck2.Gen.(pair (int_range 0 10_000) (int_range 40 600))
+    (fun (seed, max_steps) ->
+      let found = ref false and refuted = ref false in
+      let same_witness ~precedes txns =
+        let witness = Serialize_engine.search ~precedes txns in
+        (match witness with
+        | Some _ -> found := true
+        | None -> refuted := true);
+        witness = Serialize_reference.search ~precedes txns
+      in
+      let all_same =
+        List.for_all
+          (fun h ->
+            let txns = Transaction.of_history h in
+            let committable =
+              List.filter
+                (fun t ->
+                  match t.Transaction.status with
+                  | Transaction.Committed | Transaction.Commit_pending -> true
+                  | Transaction.Aborted | Transaction.Live -> false)
+                txns
+            in
+            same_witness ~precedes:Transaction.precedes txns
+            && same_witness ~precedes:Transaction.precedes committable
+            && same_witness ~precedes:Serializability.program_order
+                 committable)
+          (differential_histories ~seed ~max_steps)
+      in
+      all_same && !found && !refuted)
 
 let suites =
   [
@@ -651,5 +722,6 @@ let suites =
             prop_i12_always_safe;
             prop_agp_always_opaque;
             prop_workload_well_formed;
+            prop_serializer_matches_reference;
           ] );
   ]
