@@ -618,12 +618,10 @@ let e16_exhaustive_verification () =
     reduced.Explore.stats.Explore_stats.runs
     plain.Explore.stats.Explore_stats.runs;
   let one_txn view p =
-    let h = Slx_history.History.project view.Driver.history p in
     let has inv =
-      Slx_history.History.count
+      List.exists
         (fun e -> Slx_history.Event.invocation e = Some inv)
-        h
-      > 0
+        (view.Driver.events p)
     in
     if not (has Slx_tm.Tm_type.Start) then Some Slx_tm.Tm_type.Start
     else if not (has Slx_tm.Tm_type.Try_commit) then
@@ -656,19 +654,17 @@ let e17_blocking_vs_non_blocking () =
   let crash_holding_lock ~factory =
     let driver view =
       let open Driver in
-      if Slx_history.Proc.Set.mem 1 (Slx_history.History.crashed view.history)
-      then
+      if view.status 1 = Slx_sim.Runtime.Crashed then
         match view.status 2 with
         | Slx_sim.Runtime.Ready -> Schedule 2
         | Slx_sim.Runtime.Idle -> Invoke (2, Tm_workload.next_invocation view 2)
         | Slx_sim.Runtime.Crashed -> Stop
       else
         let p1_tryc =
-          Slx_history.History.count
+          List.exists
             (fun e ->
               Slx_history.Event.invocation e = Some Tm_type.Try_commit)
-            (Slx_history.History.project view.history 1)
-          > 0
+            (view.events 1)
         in
         match view.status 1 with
         | Slx_sim.Runtime.Idle -> Invoke (1, Tm_workload.next_invocation view 1)

@@ -590,14 +590,18 @@ let live_explore_cmd =
     Arg.(value & flag
          & info [ "no-dpor" ]
              ~doc:"Disable the cycle-proviso-guarded dynamic partial-order \
-                   reduction.")
+                   reduction.  The reduction can miss lassos the \
+                   unreduced search finds (e.g. register -p 1,2 at \
+                   depth 6 or 7), so a reduced no_fair_cycle is a \
+                   verdict about the reduced tree; pass --no-dpor for \
+                   the exhaustive answer.")
   in
   let proviso_arg =
     Arg.(value & opt (some int) None
          & info [ "proviso" ]
              ~doc:"Bounded-ignoring proviso: max consecutive edges a \
-                   process may stay asleep (default 2; larger prunes more \
-                   but can miss lassos of shorter period).")
+                   process may stay asleep (default 2; 1 prunes nothing; \
+                   larger prunes more and misses more lassos).")
   in
   let sanitize_arg =
     Arg.(value & flag

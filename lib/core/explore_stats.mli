@@ -25,8 +25,12 @@ type t = {
           configuration by replaying a decision prefix (backtracking to
           a sibling, or replaying a resumed frontier seed). *)
   replays_avoided : int;
-      (** Nodes entered by extending the parent's cursor in place — each
-          saved a full prefix replay the naive engine performs. *)
+      (** Nodes entered without a prefix replay — each saved a full
+          prefix replay the naive engine performs: nodes entered by
+          extending the parent's cursor in place, plus, in the
+          fair-cycle search ({!Live_explore}), depth-bound leaves whose
+          candidate checks the parent's cells already decide, which are
+          accounted without a cursor at all. *)
   cache_hits : int;  (** Subtrees pruned by the transposition cache. *)
   cache_entries : int;  (** Final size of the transposition cache. *)
   cache_evictions : int;
@@ -42,7 +46,10 @@ type t = {
       (** DPOR only: sleeping processes woken because an executed
           step's {e observed} accesses raced with their pending action
           ({!Dpor.advance}) — each forces the reversed order of a
-          dynamic conflict to be explored. *)
+          dynamic conflict to be explored.  The fair-cycle search
+          settles no sleep set at a leaf it accounts without a cursor
+          (nothing reads a leaf's sleep set), so such leaves count no
+          reversal. *)
   invoke_order_prunes : int;
       (** Fair-cycle search ({!Live_explore}) only: invocations pruned
           by the [invoke_order] reduction (offer only the least idle
@@ -51,7 +58,8 @@ type t = {
   proviso_wakes : int;
       (** Fair-cycle search only: sleeping processes force-woken by
           the bounded-ignoring cycle proviso (slept through too many
-          consecutive ticks), keeping the reduction cycle-sound. *)
+          consecutive ticks).  Like [race_reversals], not counted at
+          leaves accounted without a cursor. *)
   symmetry_pruned : int;
       (** Decisions pruned as symmetric to a lower-numbered untouched
           process's decision (symmetry reduction orbit pruning). *)

@@ -32,6 +32,24 @@ exception Found_lasso
    [Explore.Interrupted] at the top level. *)
 exception Cancelled
 
+(* Tick cells, interned.  A cell's items (the grant, then each event
+   skeleton) are coded [(proc lsl 2) lor kind] — kind 0 grant, 1
+   invocation, 2 response, 3 crash — and the item list is interned in
+   a structural hash table, so two ticks carry the same id iff their
+   {!cell_of} strings are equal.  The strings themselves are built
+   once per distinct cell, for certificates. *)
+type interner = {
+  ids : (int list, int) Hashtbl.t;
+  names : (int, string list) Hashtbl.t;  (* id -> cell_of strings *)
+}
+
+let new_interner () = { ids = Hashtbl.create 64; names = Hashtbl.create 64 }
+
+let item_code = function
+  | Event.Invocation (p, _) -> (p lsl 2) lor 1
+  | Event.Response (p, _) -> (p lsl 2) lor 2
+  | Event.Crash p -> (p lsl 2) lor 3
+
 type ('inv, 'res) state = {
   sink : Telemetry.sink;
   progress : Progress.t;
@@ -47,6 +65,7 @@ type ('inv, 'res) state = {
   mutable cycles : int;
   mutable fair : int;
   mutable found : ('inv, 'res) Lasso.cert option;
+  cells : interner;
   mutable fr_cuts : int;
       (* Persist mode: cut leaves recorded as frontier seeds. *)
   mutable fr_rev_seeds : live_seed list;
@@ -84,6 +103,7 @@ let new_state ?(sink = Telemetry.null) ?(progress = Progress.off)
     cycles = 0;
     fair = 0;
     found = None;
+    cells = new_interner ();
     fr_cuts = 0;
     fr_rev_seeds = [];
     ticks = ref 0;
@@ -142,9 +162,6 @@ let rec take k xs =
   if k <= 0 then []
   else match xs with [] -> [] | x :: tl -> x :: take (k - 1) tl
 
-let rec drop k xs =
-  if k <= 0 then xs else match xs with [] -> [] | _ :: tl -> drop (k - 1) tl
-
 (* The abstract cell of the tick that applied [d] and appended the
    events [fresh]: exactly what {!Lasso.tick_cells} reports for that
    tick, so certificates built from these cells replay-compare
@@ -163,79 +180,178 @@ let goods_of ~good fresh =
       | _ -> acc)
     Proc.Set.empty fresh
 
-(* Evaluate every candidate cycle anchored at the current node: for
-   each period [p <= max_period], the suffix of the last [2p] ticks
+let proc_of = function
+  | Driver.Schedule p | Driver.Invoke (p, _) | Driver.Crash p -> p
+  | Driver.Stop -> invalid_arg "Live_explore: Stop is not a tick"
+
+(* Apply [d] to [cursor] and return the events the tick appended,
+   oldest first.  Every event a tick records belongs to the decision's
+   process, so they are the newest entries of its per-process list. *)
+let step cursor d =
+  let before = History.length (Runner.Cursor.view cursor).Driver.history in
+  Runner.Cursor.apply cursor d;
+  let view = Runner.Cursor.view cursor in
+  List.rev
+    (take
+       (History.length view.Driver.history - before)
+       (view.Driver.events (proc_of d)))
+
+(* The first item of [d]'s cell, known before [d] executes: the grant
+   of a schedule, else the invocation or crash event it records. *)
+let head_code d =
+  (proc_of d lsl 2)
+  lor match d with Driver.Schedule _ -> 0 | Driver.Invoke _ -> 1 | _ -> 3
+
+let intern cells d fresh =
+  let items = List.map item_code fresh in
+  let key =
+    match d with Driver.Schedule p -> (p lsl 2) :: items | _ -> items
+  in
+  match Hashtbl.find_opt cells.ids key with
+  | Some id -> id
+  | None ->
+      let id = Hashtbl.length cells.ids in
+      Hashtbl.add cells.ids key id;
+      Hashtbl.add cells.names id (cell_of d fresh);
+      id
+
+(* The walk's current path, one slot per tick, overwritten in place as
+   the depth-first walk backtracks.  [runs] holds, for tick [t] and
+   period [p], the number of consecutive ticks ending at [t] whose cell
+   equals the cell [p] ticks earlier, so a node of length [len] closes
+   a [p]-periodic candidate iff [run (len - 1) p >= p].  A linear walk
+   ({!certify_run}) keeps one row and updates it in place. *)
+type ('inv, 'res) path = {
+  script : ('inv, 'res) Driver.decision array;
+  cell : int array;
+  head : int array;
+  goods : Proc.Set.t array;
+  runs : int array array;
+  pcap : int;  (* the largest period a row tracks *)
+}
+
+let new_path ~size ~max_period ~rows =
+  let pcap = min max_period (size / 2) in
+  {
+    script = Array.make size Driver.Stop;
+    cell = Array.make size 0;
+    head = Array.make size 0;
+    goods = Array.make size Proc.Set.empty;
+    runs = Array.init rows (fun _ -> Array.make (pcap + 1) 0);
+    pcap;
+  }
+
+let row path t = path.runs.(t mod Array.length path.runs)
+
+let push st ~good path t d fresh =
+  let id = intern st.cells d fresh in
+  path.script.(t) <- d;
+  path.cell.(t) <- id;
+  path.head.(t) <- head_code d;
+  path.goods.(t) <- goods_of ~good fresh;
+  let cur = row path t in
+  let prev = if t = 0 then cur else row path (t - 1) in
+  for p = 1 to path.pcap do
+    cur.(p) <- (if p <= t && path.cell.(t - p) = id then prev.(p) + 1 else 0)
+  done
+
+let slice a lo hi = List.init (hi - lo) (fun i -> a.(lo + i))
+
+(* Could the child reached by [d] from a node of length [len] close a
+   candidate?  Its period-[p] check needs the parent's newest [p - 1]
+   cells to repeat [p] back and the new cell to equal the one [p] back,
+   whose first item must then be [d]'s head.  [false] decides every
+   check of the child without executing [d]. *)
+let may_close path len d =
+  let pmax = min path.pcap ((len + 1) / 2) in
+  pmax >= 1
+  &&
+  let prev = row path (len - 1) and h = head_code d in
+  let rec go p =
+    p <= pmax && ((prev.(p) >= p - 1 && path.head.(len - p) = h) || go (p + 1))
+  in
+  go 1
+
+(* Evaluate every candidate cycle anchored at the node of length [len]:
+   for each period [p <= max_period], the suffix of the last [2p] ticks
    whose per-tick cells are [p]-periodic (two full repetitions
    observed).  A candidate is a fair cycle when every correct,
    non-blocked process takes a grant on it; it violates [point] per
    {!Freedom.violated_on_cycle}; and it is accepted only if its
-   certificate {e pumps}: replaying stem + cycle^reps through a fresh
-   instance reproduces the cells and boundary digest on every
+   certificate {e pumps}: continuing stem + cycle for [reps]
+   repetitions reproduces the cells and boundary digest on every
    repetition and the pumped window carries the standard bounded
-   violation.  Raises {!Found_lasso} with [st.found] set on the first
-   accepted candidate (shortest period first). *)
-let eval_candidates st ~factory ~good ~point ~max_period ~pump_ticks ~blocked
-    cursor rev_script rev_cells rev_goods len =
+   violation.  At a [leaf] the node's own cursor stands at stem +
+   cycle and nothing reads it afterwards, so the first pump continues
+   from it; any other pump replays stem + cycle into a fresh cursor.
+   Raises {!Found_lasso} with [st.found] set on the first accepted
+   candidate (shortest period first). *)
+let eval_candidates st ~factory ~good ~point ~pump_ticks
+    ~blocked ~leaf cursor path len =
   if len >= 2 then begin
-    let view = Runner.Cursor.view cursor in
-    let correct =
-      Proc.Set.of_list
-        (List.filter
-           (fun p -> view.Driver.status p <> Runtime.Crashed)
-           (Proc.all ~n:view.Driver.n))
-    in
-    let pmax = min max_period (len / 2) in
-    let cells = Array.of_list (take (2 * pmax) rev_cells) in
-    let periodic p =
-      let ok = ref (Array.length cells >= 2 * p) in
-      for i = 0 to p - 1 do
-        if !ok && cells.(i) <> cells.(i + p) then ok := false
-      done;
-      !ok
+    let runs = row path (len - 1) in
+    let pmax = min path.pcap (len / 2) in
+    let free = ref leaf in
+    (* Read off the node's view before any pump consumes its cursor. *)
+    let sets =
+      lazy
+        (let view = Runner.Cursor.view cursor in
+         ( Proc.Set.of_list
+             (List.filter
+                (fun p -> view.Driver.status p <> Runtime.Crashed)
+                (Proc.all ~n:view.Driver.n)),
+           blocked view ))
     in
     for p = 1 to pmax do
-      if st.found = None && periodic p then begin
+      if st.found = None && runs.(p) >= p then begin
+        let correct, blocked = Lazy.force sets in
         st.cycles <- st.cycles + 1;
-        let cycle_rev = take p rev_script in
-        let granted =
-          List.fold_left
-            (fun acc d ->
-              match d with
-              | Driver.Schedule q -> Proc.Set.add q acc
-              | _ -> acc)
-            Proc.Set.empty cycle_rev
-        in
+        let granted = ref Proc.Set.empty in
+        let progressed = ref Proc.Set.empty in
+        for t = len - p to len - 1 do
+          (match path.script.(t) with
+          | Driver.Schedule q -> granted := Proc.Set.add q !granted
+          | _ -> ());
+          progressed := Proc.Set.union path.goods.(t) !progressed
+        done;
+        let granted = !granted in
         let fair_cycle =
           Proc.Set.subset (Proc.Set.diff correct blocked) granted
         in
-        let progressed =
-          List.fold_left Proc.Set.union Proc.Set.empty (take p rev_goods)
-        in
         let fair_violating =
           fair_cycle
-          && Freedom.violated_on_cycle ~correct ~active:granted ~progressed
-               point
+          && Freedom.violated_on_cycle ~correct ~active:granted
+               ~progressed:!progressed point
         in
         Telemetry.emit st.sink Telemetry.Cycle_candidate p
           (if fair_violating then 1 else 0);
         if fair_violating then begin
           st.fair <- st.fair + 1;
-          let cert =
-            Lasso.cert_of_cursor
-              ~stem:(List.rev (drop p rev_script))
-              ~cycle:(List.rev cycle_rev)
-              ~cells:(List.rev (take p rev_cells))
-              cursor
-          in
+          let stem = slice path.script 0 (len - p) in
+          let cycle = slice path.script (len - p) len in
           let reps = max 2 ((pump_ticks + p - 1) / p) in
           (* The pump span closes with its verdict on every path —
              rejected, refuted, or accepted — before [Found_lasso] can
              unwind, so traces stay balanced. *)
           Telemetry.emit st.sink Telemetry.Pump_start p 0;
-          match
-            Lasso.pump ~factory:(factory ()) ~ticks:st.ticks ~repetitions:reps
-              cert
-          with
+          let boundary =
+            if !free then begin
+              free := false;
+              cursor
+            end
+            else
+              Runner.Cursor.replay
+                ~n:(Runner.Cursor.view cursor).Driver.n
+                ~factory:(factory ()) ~ticks:st.ticks (stem @ cycle)
+          in
+          let cert =
+            Lasso.cert_of_cursor ~stem ~cycle
+              ~cells:
+                (List.map (Hashtbl.find st.cells.names)
+                   (slice path.cell (len - p) len))
+              boundary
+          in
+          match Lasso.pump_from ~repetitions:reps boundary cert with
           | Error _ -> Telemetry.emit st.sink Telemetry.Pump_verdict p 0
           | Ok rep ->
               let certified =
@@ -275,14 +391,10 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
   let pump_ticks = Option.value pump_ticks ~default:(4 * depth) in
   (* Bounded-ignoring proviso: a process may stay asleep through at
      most this many consecutive edges of the walk before being
-     force-woken, so on any retained cycle of period >= the bound
-     every slept process gets re-enabled within one repetition — the
-     cycle proviso that keeps the sleep-set reduction sound for
-     fair-cycle detection.  Default 2, the minimal nontrivial period:
-     period-1 fair cycles need no protection (a sleeper is Ready and
-     correct, so a cycle that never grants it is not fair in the full
-     graph either), and larger bounds can ignore a transition across a
-     whole short cycle and silently miss its lasso. *)
+     force-woken.  Default 2, the minimal bound that prunes anything.
+     It does not make the reduction complete for fair cycles: the
+     reduced walk misses lassos the unreduced one finds (see the
+     interface), and larger bounds miss more. *)
   let proviso_bound = Option.value proviso_bound ~default:2 in
   let st =
     new_state ~sink:(Obs.sink obs) ~progress:(Obs.progress obs) ~sanitize
@@ -401,185 +513,191 @@ let search ~n ~factory ~invoke ~good ~point ~depth ?(max_crashes = 0)
     end;
     List.map (fun (z, streak) -> (z, streak + 1)) kept
   in
-  (* As in {!Explore}: [visit] wraps [visit_body] in the node span,
-     closed on every exit ([Found_lasso] unwinds included).  [sleep]
-     carries each slept process with its ignoring streak; [] with DPOR
-     off. *)
-  let rec visit cursor rev_script rev_cells rev_goods len crashes sleep =
+  let path = new_path ~size:(max 1 depth) ~max_period ~rows:(max 1 depth) in
+  (* As in {!Explore}: [node] wraps a node's body in the node span,
+     closed on every exit ([Found_lasso] unwinds included), and polls
+     [cancel] inside it.  [visit] is a node with a cursor; [sleep]
+     carries each slept process with its ignoring streak ([] with DPOR
+     off). *)
+  let node len body =
     st.nodes <- st.nodes + 1;
     Progress.tick st.progress st.sample;
+    let body () =
+      if cancel () then raise Cancelled;
+      body ()
+    in
     if Telemetry.enabled st.sink then begin
       Telemetry.emit st.sink Telemetry.Node_enter len 0;
       Fun.protect
-        ~finally:(fun () ->
-          Telemetry.emit st.sink Telemetry.Node_leave len 0)
-        (fun () ->
-          visit_body cursor rev_script rev_cells rev_goods len crashes sleep)
+        ~finally:(fun () -> Telemetry.emit st.sink Telemetry.Node_leave len 0)
+        body
     end
-    else visit_body cursor rev_script rev_cells rev_goods len crashes sleep
-  and visit_body cursor rev_script rev_cells rev_goods len crashes sleep =
-    if cancel () then raise Cancelled;
+    else body ()
+  in
+  let rec visit cursor len crashes sleep =
+    node len (fun () -> visit_body cursor len crashes sleep)
+  and visit_body cursor len crashes sleep =
     let view = Runner.Cursor.view cursor in
-    eval_candidates st ~factory ~good ~point ~max_period ~pump_ticks
-      ~blocked:(blocked_at view) cursor rev_script rev_cells rev_goods len;
-    match menu view len crashes with
-    | [] ->
-        st.runs <- st.runs + 1;
-        if persist && has_future view crashes then begin
-          (* A cut leaf: record the coded script and the sleep set
-             with its proviso streaks (packed as
-             [(streak << 8) | proc]) so a deeper resume re-settles
-             nothing. *)
-          st.fr_cuts <- st.fr_cuts + 1;
-          st.fr_rev_seeds <-
-            {
-              ls_script = List.rev_map Explore.code_of_decision rev_script;
-              ls_sleep = List.map (fun (z, s) -> (s lsl 8) lor z) sleep;
-            }
-            :: st.fr_rev_seeds
-        end
-    | decisions ->
-        (* Sleep-set filter, guarded by the cycle proviso.  A slept
-           process's step commutes with everything executed since
-           it went to sleep, so granting it here only step-swaps a
-           run an earlier sibling explores — {e for safety}.  For
-           cycle detection two extra wakes keep the reduction
-           sound: a path is never truncated outright (if every
-           enabled decision is asleep, all sleepers are
-           force-woken), and no process sleeps through more than
-           [proviso_bound] consecutive edges ([settle_sleep]), so
-           every pruned transition is re-enabled within that many
-           ticks on any retained cycle. *)
-        let asleep, active =
-          if dpor && sleep <> [] then
-            List.partition
-              (fun d ->
-                match d with
-                | Driver.Schedule p -> List.mem_assoc p sleep
-                | _ -> false)
-              decisions
-          else ([], decisions)
-        in
-        let asleep, active, sleep =
-          if active = [] && asleep <> [] then begin
-            st.proviso <- st.proviso + List.length asleep;
-            Telemetry.emit st.sink Telemetry.Proviso_wake len
-              (List.length asleep);
-            ([], decisions, [])
-          end
-          else (asleep, active, sleep)
-        in
-        st.por_pruned <- st.por_pruned + List.length asleep;
-        if asleep <> [] then
-          Telemetry.emit st.sink Telemetry.Por_sleep len
+    (* Leafness and the cut-leaf test ("would the menu be nonempty with
+       the depth guard lifted?") read the view before a leaf's pump
+       consumes its cursor. *)
+    let at_bound = len >= depth in
+    let future = ((not at_bound) || persist) && has_future view crashes in
+    let leaf = at_bound || not future in
+    eval_candidates st ~factory ~good ~point ~pump_ticks
+      ~blocked:blocked_at ~leaf cursor path len;
+    if leaf then begin
+      st.runs <- st.runs + 1;
+      if future then begin
+        (* A cut leaf (persist mode): record the coded script and the
+           sleep set with its proviso streaks (packed as
+           [(streak << 8) | proc]) so a deeper resume re-settles
+           nothing. *)
+        st.fr_cuts <- st.fr_cuts + 1;
+        st.fr_rev_seeds <-
+          {
+            ls_script =
+              List.map Explore.code_of_decision (slice path.script 0 len);
+            ls_sleep = List.map (fun (z, s) -> (s lsl 8) lor z) sleep;
+          }
+          :: st.fr_rev_seeds
+      end
+    end
+    else begin
+      let decisions = menu view len crashes in
+      (* Sleep-set filter, guarded by the cycle proviso.  A slept
+         process's step commutes with everything executed since it
+         went to sleep, so granting it here only step-swaps a run an
+         earlier sibling explores — {e for safety}.  For cycle
+         detection two extra wakes limit the ignoring problem: a path
+         is never truncated outright (if every enabled decision is
+         asleep, all sleepers are force-woken), and no process sleeps
+         through more than [proviso_bound] consecutive edges
+         ([settle_sleep]).  This does not keep every lasso: see the
+         interface. *)
+      let asleep, active =
+        if dpor && sleep <> [] then
+          List.partition
+            (fun d ->
+              match d with
+              | Driver.Schedule p -> List.mem_assoc p sleep
+              | _ -> false)
+            decisions
+        else ([], decisions)
+      in
+      let asleep, active, sleep =
+        if active = [] && asleep <> [] then begin
+          st.proviso <- st.proviso + List.length asleep;
+          Telemetry.emit st.sink Telemetry.Proviso_wake len
             (List.length asleep);
-        (* Children with their candidate sleep sets: each explored
-           sibling falls asleep (streak 0) for the siblings after
-           it; crashes wake everyone. *)
-        let children =
-          if not dpor then List.mapi (fun i d -> (i, d, [])) active
-          else
-            List.mapi (fun i d -> (i, d)) active
-            |> List.fold_left
-                 (fun (acc, prev) (i, d) ->
-                   let child_sleep =
-                     match d with Driver.Crash _ -> [] | _ -> prev
-                   in
-                   let prev' =
-                     match d with
-                     | Driver.Schedule p ->
-                         (p, 0) :: List.remove_assoc p prev
-                     | _ -> prev
-                   in
-                   ((i, d, child_sleep) :: acc, prev'))
-                 ([], sleep)
-            |> fst |> List.rev
-        in
-        let before = History.length view.Driver.history in
-        List.iter
-          (fun (i, d, child_sleep) ->
-            let crashes' =
-              match d with Driver.Crash _ -> crashes + 1 | _ -> crashes
-            in
+          ([], decisions, [])
+        end
+        else (asleep, active, sleep)
+      in
+      st.por_pruned <- st.por_pruned + List.length asleep;
+      if asleep <> [] then
+        Telemetry.emit st.sink Telemetry.Por_sleep len (List.length asleep);
+      (* Children with their candidate sleep sets: each explored
+         sibling falls asleep (streak 0) for the siblings after it;
+         crashes wake everyone. *)
+      let children =
+        if not dpor then List.map (fun d -> (d, [])) active
+        else
+          List.fold_left
+            (fun (acc, prev) d ->
+              let child_sleep =
+                match d with Driver.Crash _ -> [] | _ -> prev
+              in
+              let prev' =
+                match d with
+                | Driver.Schedule p -> (p, 0) :: List.remove_assoc p prev
+                | _ -> prev
+              in
+              ((d, child_sleep) :: acc, prev'))
+            ([], sleep) active
+          |> fst |> List.rev
+      in
+      (* A depth-bound child has an empty menu, so its candidate checks
+         are all it computes; when [may_close] rules them out it is
+         accounted without a cursor.  Persist mode keeps cut leaves'
+         cursors: their seeds record sleep sets settled from the
+         executed step.  The node's own cursor goes to the first child
+         that needs one; later ones replay the prefix. *)
+      let cursorless d =
+        len + 1 = depth && (not persist) && not (may_close path len d)
+      in
+      let own = ref (Some cursor) in
+      List.iter
+        (fun (d, child_sleep) ->
+          Telemetry.emit st.sink Telemetry.Decision (len + 1) (dec_code d);
+          if cursorless d then begin
+            st.avoided <- st.avoided + 1;
+            node (len + 1) (fun () -> st.runs <- st.runs + 1)
+          end
+          else begin
             let child =
-              if i = 0 then begin
-                st.avoided <- st.avoided + 1;
-                cursor
-              end
-              else begin
-                let c =
+              match !own with
+              | Some c ->
+                  own := None;
+                  st.avoided <- st.avoided + 1;
+                  c
+              | None ->
+                  st.replayed <- st.replayed + len;
                   Runner.Cursor.replay ~n ~factory:(factory ())
                     ~ticks:st.ticks ?shadow:st.shadow ?probe:st.probe
-                    (List.rev rev_script)
-                in
-                st.replayed <- st.replayed + len;
-                c
-              end
+                    (slice path.script 0 len)
             in
-            Telemetry.emit st.sink Telemetry.Decision (len + 1)
-              (dec_code d);
-            Runner.Cursor.apply child d;
+            let fresh = step child d in
             let settled =
-              if dpor then settle_sleep child d child_sleep (len + 1)
-              else []
+              if dpor then settle_sleep child d child_sleep (len + 1) else []
             in
-            let fresh =
-              drop before
-                (History.to_list
-                   (Runner.Cursor.view child).Driver.history)
-            in
-            let cell = cell_of d fresh in
-            visit child (d :: rev_script) (cell :: rev_cells)
-              (goods_of ~good fresh :: rev_goods)
-              (len + 1) crashes' settled;
+            push st ~good path len d fresh;
+            visit child (len + 1)
+              (match d with Driver.Crash _ -> crashes + 1 | _ -> crashes)
+              settled;
             (* [child]'s subtree is done; its cursor is used no more. *)
-            Runner.Cursor.release child)
-          children
+            Runner.Cursor.release child
+          end)
+        children
+    end
   in
   let make_cursor () =
     Runner.Cursor.create ~n ~factory:(factory ()) ~ticks:st.ticks
       ?shadow:st.shadow ?probe:st.probe ()
   in
   (* Resuming: replay each stored seed decision by decision, rebuilding
-     the abstract cells and good-response sets the walk would have
-     carried (the {!certify_run} pattern), then visit only the seed
-     subtrees on top of the stored base run count. *)
+     the path the walk would have carried (the {!certify_run} pattern),
+     then visit only the seed subtrees on top of the stored base run
+     count. *)
   let walk () =
     match resume with
-    | None -> visit (make_cursor ()) [] [] [] 0 0 []
+    | None ->
+        let c = make_cursor () in
+        visit c 0 0 [];
+        Runner.Cursor.release c
     | Some f ->
         st.runs <- f.lf_base_runs;
         List.iter
           (fun seed ->
             let c = make_cursor () in
-            let rec go codes rev_script rev_cells rev_goods len crashes =
-              match codes with
-              | [] -> (rev_script, rev_cells, rev_goods, len, crashes)
-              | code :: tl ->
-                  let view = Runner.Cursor.view c in
-                  let d = Explore.decision_of_code ~invoke view code in
-                  let before = History.length view.Driver.history in
-                  Runner.Cursor.apply c d;
-                  let fresh =
-                    drop before
-                      (History.to_list (Runner.Cursor.view c).Driver.history)
+            let len, crashes =
+              List.fold_left
+                (fun (len, crashes) code ->
+                  let d =
+                    Explore.decision_of_code ~invoke (Runner.Cursor.view c)
+                      code
                   in
-                  go tl (d :: rev_script)
-                    (cell_of d fresh :: rev_cells)
-                    (goods_of ~good fresh :: rev_goods)
-                    (len + 1)
-                    (match d with
-                    | Driver.Crash _ -> crashes + 1
-                    | _ -> crashes)
-            in
-            let rev_script, rev_cells, rev_goods, len, crashes =
-              go seed.ls_script [] [] [] 0 0
+                  push st ~good path len d (step c d);
+                  ( len + 1,
+                    match d with Driver.Crash _ -> crashes + 1 | _ -> crashes ))
+                (0, 0) seed.ls_script
             in
             st.replayed <- st.replayed + len;
             let sleep =
               List.map (fun c -> (c land 0xff, c asr 8)) seed.ls_sleep
             in
-            visit c rev_script rev_cells rev_goods len crashes sleep)
+            visit c len crashes sleep;
+            Runner.Cursor.release c)
           f.lf_seeds
   in
   let outcome =
@@ -623,32 +741,24 @@ let certify_run ~n ~factory ~driver ~good ~point ~max_steps ?max_period
   let max_period = Option.value max_period ~default:(max 1 (max_steps / 4)) in
   let pump_ticks = Option.value pump_ticks ~default:(max 64 (2 * max_period)) in
   let st = new_state () in
+  let path = new_path ~size:(max 1 max_steps) ~max_period ~rows:1 in
   let cursor = Runner.Cursor.create ~n ~factory:(factory ()) ~ticks:st.ticks () in
-  let rec go rev_script rev_cells rev_goods len =
-    if len >= max_steps then (rev_script, rev_cells, rev_goods, len)
+  let rec go len =
+    if len >= max_steps then len
     else
-      let view = Runner.Cursor.view cursor in
-      match driver view with
-      | Driver.Stop -> (rev_script, rev_cells, rev_goods, len)
+      match driver (Runner.Cursor.view cursor) with
+      | Driver.Stop -> len
       | d ->
-          let before = History.length view.Driver.history in
-          Runner.Cursor.apply cursor d;
-          let fresh =
-            drop before
-              (History.to_list (Runner.Cursor.view cursor).Driver.history)
-          in
-          go (d :: rev_script)
-            (cell_of d fresh :: rev_cells)
-            (goods_of ~good fresh :: rev_goods)
-            (len + 1)
+          push st ~good path len d (step cursor d);
+          go (len + 1)
   in
-  let rev_script, rev_cells, rev_goods, len = go [] [] [] 0 in
+  let len = go 0 in
   st.nodes <- len;
   st.runs <- 1;
   let outcome =
     match
-      eval_candidates st ~factory ~good ~point ~max_period ~pump_ticks
-        ~blocked:Proc.Set.empty cursor rev_script rev_cells rev_goods len
+      eval_candidates st ~factory ~good ~point ~pump_ticks
+        ~blocked:(fun _ -> Proc.Set.empty) ~leaf:true cursor path len
     with
     | () -> No_fair_cycle
     | exception Found_lasso -> Lasso (Option.get st.found)
@@ -665,20 +775,14 @@ let validate_cert_codes ~n ~factory ~invoke ~good ~point ~pump_ticks ~stem
   let p = List.length cycle in
   if p = 0 then None
   else
-    let ticks = ref 0 in
-    let cursor = Runner.Cursor.create ~n ~factory:(factory ()) ~ticks () in
+    let cursor = Runner.Cursor.create ~n ~factory:(factory ()) () in
     let apply_codes codes =
       List.map
         (fun code ->
-          let view = Runner.Cursor.view cursor in
-          let d = Explore.decision_of_code ~invoke view code in
-          let before = History.length view.Driver.history in
-          Runner.Cursor.apply cursor d;
-          let fresh =
-            drop before
-              (History.to_list (Runner.Cursor.view cursor).Driver.history)
+          let d =
+            Explore.decision_of_code ~invoke (Runner.Cursor.view cursor) code
           in
-          (d, cell_of d fresh))
+          (d, cell_of d (step cursor d)))
         codes
     in
     match
@@ -687,7 +791,7 @@ let validate_cert_codes ~n ~factory ~invoke ~good ~point ~pump_ticks ~stem
       (stem_ds, cycle_ds)
     with
     | exception _ -> None
-    | stem_ds, cycle_ds ->
+    | stem_ds, cycle_ds -> (
         let view = Runner.Cursor.view cursor in
         let blocked =
           Proc.Set.of_list
@@ -705,7 +809,7 @@ let validate_cert_codes ~n ~factory ~invoke ~good ~point ~pump_ticks ~stem
             cursor
         in
         let reps = max 2 ((pump_ticks + p - 1) / p) in
-        (match Lasso.pump ~factory:(factory ()) ~ticks ~repetitions:reps cert with
+        match Lasso.pump_from ~repetitions:reps cursor cert with
         | Error _ -> None
         | Ok rep ->
             if

@@ -29,10 +29,10 @@
     skeletons) of its last [2p] ticks are [p]-periodic, i.e. two full
     repetitions are observed, exactly the existing lasso-certificate
     criterion.  A candidate only becomes a verdict after {e
-    certificate validation}: the stem + cycle scripts are replayed
-    through a fresh instance with the cycle pumped until at least
-    [pump_ticks] extra ticks are covered
-    ({!Slx_liveness.Lasso.pump}), which must reproduce the cells and
+    certificate validation}: from a cursor standing at stem + cycle —
+    a fresh replay, or a leaf's own cursor — the cycle is pumped until
+    at least [pump_ticks] extra ticks are covered
+    ({!Slx_liveness.Lasso.pump_from}), which must reproduce the cells and
     the boundary configuration digest on every repetition and yield a
     report satisfying the standard bounded violation
     ({!Slx_liveness.Lasso.certified_violation}).  Pumping is what
@@ -44,7 +44,21 @@
 
     The walk is depth-first in the canonical menu order of {!Explore},
     so the emitted certificate is deterministic: the lex-least
-    stem+cycle script among the validated candidates.  The search
+    stem+cycle script among the validated candidates.
+
+    {b Cost.}  A configuration is materialised only for the consumers
+    that read it.  A node's first child that needs a cursor extends the
+    node's own; every later one replays the prefix into a fresh cursor.
+    A child at the depth bound has an empty menu, so its candidate
+    checks are all it computes: when the parent's cells already rule
+    out every period (the new cell's first item — the grant, or the
+    invocation or crash it records — is known before the step), the
+    leaf is accounted with no cursor, no step and no sleep-set
+    settlement.  At a leaf, the first candidate pump continues from the
+    leaf's own cursor ({!Slx_liveness.Lasso.pump_from}); any other pump
+    replays stem + cycle into a fresh cursor.  Tick cells are compared
+    as interned ints, with per-period match runs carried down the path,
+    so a node's candidate test is O([max_period]).  The search
     keeps no transposition cache: the context that determines every
     candidate in a subtree includes the last [2 * max_period] abstract
     cells, which at the default [max_period] is the whole path from the
@@ -54,18 +68,24 @@
     — sleep sets are path-dependent, and pruning by them can defer a
     transition forever around a cycle (the classic "ignoring
     problem"), dropping every representative of a periodic run.  The
-    [dpor] reduction closes that gap with a {e bounded-ignoring cycle
+    [dpor] reduction narrows that gap with a {e bounded-ignoring cycle
     proviso}: the DPOR sleep-set walk of {!Explore} (dynamic
     observed-access race reversal, {!Dpor}) runs under two extra wake
     rules — a node whose every enabled decision is asleep force-wakes
     them all instead of truncating the path, and no process stays
-    asleep through more than [proviso_bound] consecutive edges.
-    Together these guarantee that on every retained cycle each pruned
-    transition is re-enabled within [proviso_bound] ticks, so a fair
-    periodic run cannot be ignored out of the reduced tree.
-    Certificate validation (pumping) remains the unconditional
-    backstop against false positives.  The other reduction offered is
-    [invoke_order]. *)
+    asleep through more than [proviso_bound] consecutive edges.  This
+    does {e not} keep every fair periodic run in the reduced tree: the
+    default reduction answers [No_fair_cycle] where the unreduced
+    search finds and pump-validates a lasso — register consensus
+    (1,2) at n = 2, depths 6 and 7 (stem [I1(0) I2(1) S1 S2], cycle
+    [S1 S2] at depth 6), and every lasso point of the n = 3 plane at
+    depth 8 with 1 or 2 crashes (stem [I1(0) S1 I2(1) C3 S1 S2], cycle
+    [S1 S2]).  A [dpor] [No_fair_cycle] is therefore a verdict about
+    the reduced tree only; pass [~dpor:false] for the exhaustive
+    answer.  Certificate validation (pumping) remains the
+    unconditional backstop against false positives: a reduced search
+    can miss a lasso, never invent one.  The other reduction offered
+    is [invoke_order]. *)
 
 open Slx_history
 open Slx_sim
@@ -118,7 +138,11 @@ type ('inv, 'res) result = {
           [invoke_order_prunes] counts invocations pruned by
           [invoke_order]; [por_prunes]/[race_reversals]/
           [proviso_wakes] count the [dpor] reduction's prunes and
-          wakes; pump replays are included in [steps_executed]. *)
+          wakes, except at depth-bound leaves accounted without a
+          cursor, whose sleep sets nothing reads and which are not
+          settled; [replays_avoided] counts children entered on the
+          parent's cursor plus those cursorless leaves; pump steps are
+          included in [steps_executed]. *)
   frontier : live_frontier option;
       (** Under [~persist:true] on a [No_fair_cycle] outcome: the cut
           frontier a deeper [~resume] search can start from. *)
@@ -163,14 +187,11 @@ val search :
     idle process's invocation at each node (sound for cycles, see
     module doc); [dpor] (default [false]) enables the
     cycle-proviso-guarded DPOR sleep-set reduction (see module doc),
-    with [proviso_bound] (default [2]) the bounded-ignoring limit: a
-    transition stays protected on every retained cycle of period at
-    least the bound, so the default — the minimal nontrivial period —
-    protects them all (period-1 fair cycles need none: a sleeper is
-    Ready and correct, so a cycle never granting it is unfair in the
-    full graph too).  Larger bounds prune more but can ignore a
-    transition across a whole shorter cycle and silently miss its
-    lasso.
+    with [proviso_bound] (default [2]) the bounded-ignoring limit: no
+    process sleeps through more than that many consecutive edges.  The
+    reduction can miss lassos the unreduced search finds, at every
+    bound >= 2 (see module doc; [proviso_bound = 1] prunes nothing);
+    larger bounds prune more and miss more.
 
     [obs] (default {!Slx_obs.Obs.disabled}) attaches the observability
     bundle, as in {!Explore.explore}: node spans, decisions,
@@ -184,8 +205,11 @@ val search :
     shadow on every search cursor (as in {!Explore.explore}):
     footprint mismatches are counted into
     [stats.footprint_violations] without changing any decision or
-    verdict.  Pump validation runs outside the shadow — it re-executes
-    an already-sanitized script on a fresh instance.
+    verdict.  The count covers the steps the search executes: a
+    depth-bound leaf accounted without a cursor executes no step.
+    Pump validation runs outside the shadow, whether on a fresh
+    instance or continuing from a leaf's cursor, whose monitors it
+    drops first.
 
     [persist]/[resume]/[cancel] behave as in {!Explore.explore}: cut
     leaves become {!live_seed}s, [resume] replays the stored seeds —

@@ -97,42 +97,76 @@ let cert_of_cursor ~stem ~cycle ~cells cursor =
 
 exception Pump_failed of string
 
-let pump ~factory ?ticks ?(repetitions = 2) ?abstract cert =
-  let period = List.length cert.c_cycle in
-  if period = 0 then Error "Lasso.pump: empty cycle"
-  else if repetitions < 2 then Error "Lasso.pump: need at least 2 repetitions"
-  else
-    try
-      let cursor = Runner.Cursor.create ~n:cert.c_n ~factory ?ticks () in
-      let apply d =
-        try Runner.Cursor.apply cursor d
-        with Invalid_argument msg ->
-          raise (Pump_failed ("decision not applicable: " ^ msg))
-      in
-      List.iter apply cert.c_stem;
-      let stem_len = List.length cert.c_stem in
-      for rep = 1 to repetitions do
-        List.iter apply cert.c_cycle;
-        if boundary_digest cursor cert.c_cells <> cert.c_digest then
-          raise
-            (Pump_failed
-               (Printf.sprintf
-                  "configuration digest diverged on repetition %d" rep))
-      done;
-      (* One trace computation for the whole pumped run, then compare
-         each repetition's slice — the per-repetition digest check above
-         already localizes a diverging configuration. *)
-      let r = Runner.Cursor.report cursor ~window:(repetitions * period) () in
-      let cells = Array.of_list (tick_cells ?abstract r) in
-      let expected = Array.of_list cert.c_cells in
-      for rep = 1 to repetitions do
-        let base = stem_len + ((rep - 1) * period) in
-        for i = 0 to period - 1 do
-          if cells.(base + i) <> expected.(i) then
+let pump_args cert repetitions =
+  if cert.c_cycle = [] then Some "Lasso.pump: empty cycle"
+  else if repetitions < 2 then Some "Lasso.pump: need at least 2 repetitions"
+  else None
+
+let apply_checked cursor d =
+  try Runner.Cursor.apply cursor d
+  with Invalid_argument msg ->
+    raise (Pump_failed ("decision not applicable: " ^ msg))
+
+(* The one pump continuation, behind both entry points: [cursor]
+   stands at [stem @ cycle].  Check the first boundary, apply the
+   remaining repetitions checking each boundary, then compare every
+   repetition's cells.  The cursor is consumed: unmonitored first,
+   released at the end. *)
+let pump_from ?(repetitions = 2) ?abstract cursor cert =
+  let result =
+    match pump_args cert repetitions with
+    | Some msg -> Error msg
+    | None -> (
+        Runner.Cursor.unmonitor cursor;
+        let period = List.length cert.c_cycle in
+        let check_boundary rep =
+          if boundary_digest cursor cert.c_cells <> cert.c_digest then
             raise
               (Pump_failed
-                 (Printf.sprintf "trace diverged on repetition %d" rep))
-        done
-      done;
-      Ok r
-    with Pump_failed msg -> Error msg
+                 (Printf.sprintf
+                    "configuration digest diverged on repetition %d" rep))
+        in
+        try
+          check_boundary 1;
+          for rep = 2 to repetitions do
+            List.iter (apply_checked cursor) cert.c_cycle;
+            check_boundary rep
+          done;
+          (* One trace computation for the whole pumped run, then
+             compare each repetition's slice — the per-repetition
+             digest check above already localizes a diverging
+             configuration. *)
+          let r =
+            Runner.Cursor.report cursor ~window:(repetitions * period) ()
+          in
+          let cells = Array.of_list (tick_cells ?abstract r) in
+          let expected = Array.of_list cert.c_cells in
+          let stem_len = List.length cert.c_stem in
+          for rep = 1 to repetitions do
+            let base = stem_len + ((rep - 1) * period) in
+            for i = 0 to period - 1 do
+              if cells.(base + i) <> expected.(i) then
+                raise
+                  (Pump_failed
+                     (Printf.sprintf "trace diverged on repetition %d" rep))
+            done
+          done;
+          Ok r
+        with Pump_failed msg -> Error msg)
+  in
+  Runner.Cursor.release cursor;
+  result
+
+let pump ~factory ?ticks ?(repetitions = 2) ?abstract cert =
+  match pump_args cert repetitions with
+  | Some msg -> Error msg
+  | None -> (
+      let cursor = Runner.Cursor.create ~n:cert.c_n ~factory ?ticks () in
+      match
+        List.iter (apply_checked cursor) cert.c_stem;
+        List.iter (apply_checked cursor) cert.c_cycle
+      with
+      | exception Pump_failed msg ->
+          Runner.Cursor.release cursor;
+          Error msg
+      | () -> pump_from ~repetitions ?abstract cursor cert)

@@ -114,4 +114,25 @@ val pump :
     fairness, the freedom point and the window period over the cycle
     ticks alone.  [Error reason] reports the first inapplicable
     decision or diverging repetition — the certificate does not extend
-    to an infinite run by verbatim repetition. *)
+    to an infinite run by verbatim repetition.  The fresh cursor is
+    released before returning.
+
+    [pump] is a replay of [stem @ cycle] into the fresh cursor followed
+    by {!pump_from}: there is one pump continuation. *)
+
+val pump_from :
+  ?repetitions:int ->
+  ?abstract:(('inv, 'res) Slx_history.Event.t -> string) ->
+  ('inv, 'res) Runner.Cursor.t ->
+  ('inv, 'res) cert ->
+  (('inv, 'res) Run_report.t, string) result
+(** [pump_from cursor cert] is {!pump} continued from a cursor that
+    already stands at [cert.c_stem @ cert.c_cycle] — e.g. the search
+    cursor of the leaf that closed the candidate — instead of a fresh
+    replay: it checks the first boundary, applies the remaining
+    [repetitions - 1] cycles, and compares cells exactly as {!pump}
+    does, so on such a cursor it returns the same report or the same
+    error as [pump] with a fresh instance.  The cursor is consumed: its
+    monitors are dropped first ({!Runner.Cursor.unmonitor}, so pump
+    steps are never sanitized or probed) and it is released at the
+    end. *)

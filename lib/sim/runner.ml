@@ -24,8 +24,8 @@ module Cursor = struct
     step_counts : int array;
     mutable crashed : Proc.Set.t;
     ticks : int ref;
-    shadow : Runtime.shadow option;
-    probe : Runtime.probe option;
+    mutable shadow : Runtime.shadow option;
+    mutable probe : Runtime.probe option;
     encode : (int -> ('inv, 'res) Event.t -> int) option;
     mutable hist_id : int;
     rev_proc_events : ('inv, 'res) Event.t list array;
@@ -144,6 +144,10 @@ module Cursor = struct
         Runtime.with_monitors ?shadow ?probe (fun () -> apply_body c d)
 
   let probe c = c.probe
+
+  let unmonitor c =
+    c.shadow <- None;
+    c.probe <- None
 
   let replay ~n ~factory ?ticks ?shadow ?probe ?encode decisions =
     let c = create ~n ~factory ?ticks ?shadow ?probe ?encode () in

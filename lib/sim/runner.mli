@@ -112,6 +112,13 @@ module Cursor : sig
   (** The probe installed at creation, if any — after an {!apply} of a
       [Schedule] decision it holds that step's observation. *)
 
+  val unmonitor : ('inv, 'res) t -> unit
+  (** Drop the shadow and probe installed at creation: later {!apply}s
+      run unmonitored.  A certificate pump that continues from a search
+      cursor ({!Slx_liveness.Lasso.pump_from}) uses this so its steps
+      are neither sanitized nor recorded by the DPOR probe, exactly as
+      on a fresh cursor. *)
+
   val replay :
     n:int ->
     factory:('inv, 'res) factory ->

@@ -586,23 +586,16 @@ let test_stats_merge_pointwise () =
   check_int "footprint violations sum" 3
     merged.Explore_stats.footprint_violations
 
-(* One start-tryC transaction per process, derived from the history. *)
+(* One start-tryC transaction per process, derived from its events. *)
 let one_txn view p =
-  let h = History.project view.Slx_sim.Driver.history p in
-  let started =
-    History.count
-      (fun e -> Event.invocation e = Some Slx_tm.Tm_type.Start)
-      h
-    > 0
+  let has inv =
+    List.exists
+      (fun e -> Event.invocation e = Some inv)
+      (view.Slx_sim.Driver.events p)
   in
-  let tried =
-    History.count
-      (fun e -> Event.invocation e = Some Slx_tm.Tm_type.Try_commit)
-      h
-    > 0
-  in
-  if not started then Some Slx_tm.Tm_type.Start
-  else if not tried then Some Slx_tm.Tm_type.Try_commit
+  if not (has Slx_tm.Tm_type.Start) then Some Slx_tm.Tm_type.Start
+  else if not (has Slx_tm.Tm_type.Try_commit) then
+    Some Slx_tm.Tm_type.Try_commit
   else None
 
 let test_explore_agp_opacity_all_schedules () =

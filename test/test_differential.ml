@@ -265,9 +265,8 @@ let one_proposal =
     (Driver.n_times 1 (fun p _ -> Slx_consensus.Consensus_type.Propose (p - 1)))
 
 let one_txn view p =
-  let h = History.project view.Driver.history p in
   let has inv =
-    History.count (fun e -> Event.invocation e = Some inv) h > 0
+    List.exists (fun e -> Event.invocation e = Some inv) (view.Driver.events p)
   in
   if not (has Tm_type.Start) then Some Tm_type.Start
   else if not (has Tm_type.Try_commit) then Some Tm_type.Try_commit

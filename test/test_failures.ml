@@ -145,7 +145,7 @@ let test_mutex_holder_crash_blocks () =
   let driver view =
     match view.Driver.time with
     | t ->
-        if Proc.Set.mem 1 (History.crashed view.Driver.history) then
+        if view.Driver.status 1 = Runtime.Crashed then
           (* After the crash: p2 tries forever. *)
           match view.Driver.status 2 with
           | Runtime.Ready -> Driver.Schedule 2

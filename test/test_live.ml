@@ -223,6 +223,201 @@ let prop_lasso_pumps =
           | Error _ -> false
           | Ok rep -> Lasso.certified_violation ~good rep point))
 
+let search_cursor ~factory script =
+  (* A cursor as the search builds it: shadow and probe installed. *)
+  Runner.Cursor.replay ~n:2 ~factory:(factory ())
+    ~shadow:(Runtime.make_shadow ~record:false ~raise_on_violation:false ())
+    ~probe:(Runtime.make_probe ()) script
+
+let test_pump_continuation_matches_fresh_pump () =
+  (* The search pumps a leaf's candidate from the leaf's own cursor;
+     that continuation must answer exactly what a fresh replay does —
+     the same report, or the same error — on valid and on damaged
+     certificates alike. *)
+  let c = lasso_exn "cert" (search_register ~depth:8 (Freedom.make ~l:1 ~k:2)) in
+  let pumps ~ok name cert repetitions =
+    let fresh = Lasso.pump ~factory:(reg_factory ()) ~repetitions cert in
+    let cont =
+      Lasso.pump_from ~repetitions
+        (search_cursor ~factory:reg_factory
+           (cert.Lasso.c_stem @ cert.Lasso.c_cycle))
+        cert
+    in
+    check_bool (name ^ ": pump verdict") ok (Result.is_ok fresh);
+    check_bool (name ^ ": continuation = fresh pump") true (fresh = cont)
+  in
+  List.iter (pumps ~ok:true "valid" c) [ 2; 3; 8 ];
+  pumps ~ok:false "argument error" c 1;
+  pumps ~ok:false "digest damaged"
+    { c with Lasso.c_digest = c.Lasso.c_digest + 1 }
+    3;
+  pumps ~ok:false "cells damaged"
+    { c with Lasso.c_cells = List.rev c.Lasso.c_cells }
+    3;
+  (* Cycle not reapplicable: invoking a process that is already
+     running fails on the second repetition, on both paths. *)
+  let stem = [ Driver.Invoke (1, Slx_consensus.Consensus_type.Propose 0) ]
+  and cycle = [ Driver.Invoke (2, Slx_consensus.Consensus_type.Propose 1) ] in
+  let stuck =
+    Lasso.cert_of_cursor ~stem ~cycle ~cells:[ [ "p2:inv" ] ]
+      (Runner.Cursor.replay ~n:2 ~factory:(reg_factory ()) (stem @ cycle))
+  in
+  pumps ~ok:false "cycle not reapplicable" stuck 2
+
+(* ------------------------------------------------------------------ *)
+(* Identity: the live explorer's outputs on the benchmark legs, pinned *)
+(* from the always-replay walk (every child replayed, every pump on a  *)
+(* fresh instance).  Stepping fewer configurations must change none of *)
+(* them.                                                               *)
+
+let dec_string = function
+  | Driver.Schedule p -> Printf.sprintf "S%d" p
+  | Driver.Invoke (p, Slx_consensus.Consensus_type.Propose v) ->
+      Printf.sprintf "I%d(%d)" p v
+  | Driver.Crash p -> Printf.sprintf "C%d" p
+  | Driver.Stop -> "stop"
+
+type pinned_cert = {
+  stem : string list;
+  cycle : string list;
+  cells : string list list;
+  digest : int;
+}
+
+let cert_summary = function
+  | Live_explore.No_fair_cycle -> None
+  | Live_explore.Lasso c ->
+      Some
+        {
+          stem = List.map dec_string c.Lasso.c_stem;
+          cycle = List.map dec_string c.Lasso.c_cycle;
+          cells = c.Lasso.c_cells;
+          digest = c.Lasso.c_digest;
+        }
+
+let reg12_cert =
+  Some
+    {
+      stem = [ "I1(0)"; "S1"; "S1"; "I2(1)"; "S2"; "S1" ];
+      cycle = [ "S2"; "S1" ];
+      cells = [ [ "p2:step" ]; [ "p1:step" ] ];
+      digest = 94456988;
+    }
+
+let n3_cert =
+  Some
+    {
+      stem = [ "I1(0)"; "S1"; "I2(1)"; "C3"; "S1"; "S2" ];
+      cycle = [ "S1"; "S2" ];
+      cells = [ [ "p1:step" ]; [ "p2:step" ] ];
+      digest = 154670627;
+    }
+
+(* (leg, impl, n, (l, k), depth, crashes, dpor,
+    runs, nodes, cycles_examined, fair_cycles, certificate).  The
+    [live-explore] legs run as the CLI does (dpor on); the Figure 1
+    n = 3 plane as [Figure1.consensus_exhaustive] does (dpor off, n - 1
+    crashes). *)
+let pinned_legs =
+  [
+    ("lp-reg-11-d14", `Reg, 2, (1, 1), 14, 1, true, 7670, 19217, 9256, 5438, None);
+    ("lp-reg-12-d8", `Reg, 2, (1, 2), 8, 1, true, 35, 76, 25, 7, reg12_cert);
+    ("lp-reg-12-d10", `Reg, 2, (1, 2), 10, 1, true, 108, 247, 89, 41, reg12_cert);
+    ("lp-reg-12-d12", `Reg, 2, (1, 2), 12, 1, true, 303, 732, 285, 159, reg12_cert);
+    ("lp-cas-22-d10", `Cas, 2, (2, 2), 10, 1, true, 1557, 3472, 101, 0, None);
+    ("lp-cas-22-d12", `Cas, 2, (2, 2), 12, 1, true, 5127, 11456, 389, 0, None);
+    ("fig1-n3-(1,1)", `Reg, 3, (1, 1), 8, 2, false, 43626, 64315, 11652, 2322, None);
+  ]
+  @ List.map
+      (fun (l, k) ->
+        ( Printf.sprintf "fig1-n3-(%d,%d)" l k,
+          `Reg, 3, (l, k), 8, 2, false, 2797, 3939, 515, 53, n3_cert ))
+      [ (1, 2); (1, 3); (2, 2); (2, 3); (3, 3) ]
+
+(* Steps the always-replay walk executed; the new walk must do less. *)
+let replay_all_steps = [ ("lp-reg-11-d14", 216528); ("fig1-n3-(1,1)", 384798) ]
+
+let run_leg (impl, n, (l, k), depth, crashes, dpor) =
+  let factory () =
+    match impl with
+    | `Reg -> Slx_consensus.Register_consensus.factory ()
+    | `Cas -> Slx_consensus.Cas_consensus.factory ()
+  in
+  Live_explore.search ~n ~factory ~invoke ~good ~point:(Freedom.make ~l ~k)
+    ~depth ~max_crashes:crashes ~dpor ()
+
+let test_pinned_legs () =
+  List.iter
+    (fun (leg, impl, n, lk, depth, crashes, dpor, runs, nodes, cycles, fair,
+          cert) ->
+      let r = run_leg (impl, n, lk, depth, crashes, dpor) in
+      let st = r.Live_explore.stats in
+      check_int (leg ^ ": runs") runs st.Explore_stats.runs;
+      check_int (leg ^ ": nodes") nodes st.Explore_stats.nodes;
+      check_int (leg ^ ": cycles_examined") cycles
+        st.Explore_stats.cycles_examined;
+      check_int (leg ^ ": fair_cycles") fair st.Explore_stats.fair_cycles;
+      check_bool (leg ^ ": outcome and certificate") true
+        (cert_summary r.Live_explore.outcome = cert);
+      match List.assoc_opt leg replay_all_steps with
+      | None -> ()
+      | Some before ->
+          check_bool
+            (Printf.sprintf "%s: fewer steps than always-replay (%d < %d)" leg
+               st.Explore_stats.steps_executed before)
+            true
+            (st.Explore_stats.steps_executed < before))
+    pinned_legs;
+  let plane = Figure1.consensus_exhaustive ~n:3 ~depth:8 () in
+  check_bool "n = 3 plane: (1,1) not excluded" true
+    (Figure1.color_at plane ~l:1 ~k:1 = Some Figure1.Not_excluded);
+  check_bool "n = 3 plane: (1,2) excluded" true
+    (Figure1.color_at plane ~l:1 ~k:2 = Some Figure1.Excluded)
+
+(* ------------------------------------------------------------------ *)
+(* Lassos the default reduction misses.  The unreduced search finds    *)
+(* and pump-validates these certificates, while the default            *)
+(* cycle-proviso DPOR ([~dpor:true], proviso bound 2) answers          *)
+(* No_fair_cycle on every one of them: the proviso does not keep every *)
+(* fair periodic run in the reduced tree (ROADMAP item 5).  Pinned so  *)
+(* the ground truth stays checked while the reduction is repaired.     *)
+
+let test_unreduced_lassos () =
+  let expect name r cert =
+    check_bool (name ^ ": unreduced certificate") true
+      (Option.map
+         (fun c -> (c.stem, c.cycle))
+         (cert_summary r.Live_explore.outcome)
+      = Some cert)
+  in
+  let n2 = ([ "I1(0)"; "I2(1)"; "S1"; "S2" ], [ "S1"; "S2" ]) in
+  let n2_d7 = ([ "I1(0)"; "S1"; "I2(1)"; "S1"; "S2" ], [ "S1"; "S2" ]) in
+  List.iter
+    (fun (depth, cert) ->
+      List.iter
+        (fun (l, k) ->
+          List.iter
+            (fun crashes ->
+              expect
+                (Printf.sprintf "register n=2 (%d,%d) d%d crashes %d" l k depth
+                   crashes)
+                (run_leg (`Reg, 2, (l, k), depth, crashes, false))
+                cert)
+            [ 0; 1 ])
+        [ (1, 2); (2, 2) ])
+    [ (6, n2); (7, n2_d7) ];
+  let n3 = ([ "I1(0)"; "S1"; "I2(1)"; "C3"; "S1"; "S2" ], [ "S1"; "S2" ]) in
+  List.iter
+    (fun crashes ->
+      List.iter
+        (fun (l, k) ->
+          expect
+            (Printf.sprintf "register n=3 (%d,%d) d8 crashes %d" l k crashes)
+            (run_leg (`Reg, 3, (l, k), 8, crashes, false))
+            n3)
+        [ (1, 2); (1, 3); (2, 2); (2, 3); (3, 3) ])
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Cross-validation: exhaustive search vs adversary games.             *)
 
@@ -324,8 +519,17 @@ let suites =
         quick "boundary digest repeats exactly" test_cert_digest_repeats_exactly;
         quick "pump rejects the wrong instance" test_pump_rejects_wrong_instance;
         quick "pump argument errors" test_pump_argument_errors;
+        quick "leaf pump continuation matches a fresh pump"
+          test_pump_continuation_matches_fresh_pump;
       ]
       @ qcheck [ prop_lasso_pumps ] );
+    ( "live-explore: identity",
+      [
+        quick "benchmark legs pinned to the always-replay walk"
+          test_pinned_legs;
+        quick "unreduced search finds the lassos dpor misses"
+          test_unreduced_lassos;
+      ] );
     ( "live-explore: cross-validation (E20)",
       [
         quick "exhaustive grid matches adversary games"

@@ -517,7 +517,7 @@ let test_tl2_opaque_under_contention () =
 let crash_holding_lock ~factory ~max_steps =
   let driver view =
     let open Driver in
-    if Proc.Set.mem 1 (History.crashed view.history) then
+    if view.status 1 = Slx_sim.Runtime.Crashed then
       (* p2 runs alone, forever retrying transactions. *)
       match view.status 2 with
       | Slx_sim.Runtime.Ready -> Schedule 2
@@ -527,10 +527,9 @@ let crash_holding_lock ~factory ~max_steps =
       (* Drive p1 through start; read; write; tryC, but crash it after
          granting the tryC's second atomic step (the lock CAS). *)
       let p1_tryc_invoked =
-        History.count
+        List.exists
           (fun e -> Event.invocation e = Some Tm_type.Try_commit)
-          (History.project view.history 1)
-        > 0
+          (view.events 1)
       in
       match view.status 1 with
       | Slx_sim.Runtime.Idle -> Invoke (1, Tm_workload.next_invocation view 1)
