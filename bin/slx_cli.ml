@@ -21,14 +21,11 @@
    slx stats --trace FILE
        Replay a trace recorded with --trace into summary histograms.
 
-   slx lint [PATHS] [--ci] [--json] [--root DIR] [--waivers FILE]
-       Statically check model sources (escape/determinism/footprint
-       families); nonzero exit on any unwaived finding.
-
-   slx audit [--ci] [--oracle] [--lint] [--json] [--group G] [--case NAME]
+   slx audit [--ci] [--oracle] [--json] [--group G] [--case NAME]
        Sweep every registered implementation's bounded schedule tree
        with the conflict-soundness sanitizer armed; nonzero exit on
-       any footprint violation.  --lint folds the static sweep in.
+       any footprint violation.  Its static complement, the linter,
+       is the separate executable slx_lint_cli (bin/slx_lint_cli.ml).
 
    slx serve --port N --workers N --store FILE
        Run the JSON-over-HTTP verification service: warm answers from
@@ -94,7 +91,43 @@ let store_arg =
            an exact stored verdict warm (witnesses re-validated), resume \
            a deeper run from a stored frontier, and record this run's \
            verdict for the next one.  Created if missing; corrupt or \
-           stale stores degrade to cold runs, never to wrong answers.")
+           stale stores degrade to cold runs, never to wrong answers.  \
+           A path no commit could write (a missing or read-only \
+           directory) is an error before the search.")
+
+(* One structured error path for CLI file problems: a [slx]-prefixed
+   line on stderr and exit 2, whatever the flag that named the file. *)
+let cli_error fmt =
+  Printf.ksprintf
+    (fun s ->
+      Printf.eprintf "[slx] error: %s\n" s;
+      2)
+    fmt
+
+(* Open a --store before the search, failing closed: a store the run
+   could not commit to is an error now, not after the whole search. *)
+let open_store = function
+  | None -> Ok None
+  | Some path -> (
+      match
+        Result.bind (Vstore.check_writable path) (fun () ->
+            try Ok (Vstore.open_ path) with Sys_error e -> Error e)
+      with
+      | Ok st -> Ok (Some st)
+      | Error e -> Error (Printf.sprintf "cannot use store %s: %s" path e))
+
+(* The --json "gc" object: the process's allocation so far, read as the
+   engine returns.  minor_words comes from Gc.minor_words, because
+   OCaml 5.1's Gc.quick_stat updates it (and top_heap_words) only at a
+   minor collection, so a run that never fills the minor heap would
+   read 0 words allocated. *)
+let gc_json () =
+  let minor_words = Gc.minor_words () in
+  let s = Gc.quick_stat () in
+  Printf.sprintf
+    "{\"minor_words\": %.0f, \"major_collections\": %d, \"top_heap_words\": \
+     %d}"
+    minor_words s.Gc.major_collections s.Gc.top_heap_words
 
 (* Graceful ^C for the exploration subcommands: the engines poll the
    flag once per node and abandon with partial statistics; a
@@ -443,11 +476,12 @@ let explore_cmd =
       | "selfish" -> Ok (fun () -> Selfish_consensus.factory ())
       | other -> Error (Printf.sprintf "unknown implementation %S" other)
     in
-    match factory with
-    | Error e ->
+    match (factory, open_store store) with
+    | Error e, _ ->
         prerr_endline e;
         1
-    | Ok factory -> begin
+    | _, Error e -> cli_error "%s" e
+    | Ok factory, Ok st -> begin
         let invoke =
           Explore.workload_invoke
             (Slx_sim.Driver.n_times 1 (fun p _ ->
@@ -457,14 +491,13 @@ let explore_cmd =
         let obs = make_obs ~trace ~progress ~progress_json in
         let cancel = install_sigint () in
         let run_engine () =
-          match store with
+          match st with
           | None ->
               ( Explore.explore ~n:2 ~factory ~invoke ~depth ~max_crashes
                   ~cache:(not no_cache) ?cache_capacity ~dpor:(not no_dpor)
                   ~symmetry:(not no_symmetry) ~obs ~sanitize ~cancel ~check (),
                 None )
-          | Some path ->
-              let st = Vstore.open_ path in
+          | Some st ->
               let qid =
                 Persist.query_key ~ident:impl ~check:"consensus-safety" ~n:2
                   ~registry_digest:(Persist.instance_digest ~n:2 ~factory)
@@ -484,6 +517,7 @@ let explore_cmd =
             write_trace obs trace;
             report_interrupt ~store ~stats
         | e, source -> begin
+            let gc = gc_json () in
             write_trace obs trace;
             let source_string =
               Option.map (Format.asprintf "%a" Persist.pp_source) source
@@ -496,12 +530,13 @@ let explore_cmd =
               in
               Printf.printf
                 "{\"impl\": %S, \"depth\": %d, \"max_crashes\": %d, \
-                 \"outcome\": %S, \"runs\": %d%s, \"stats\": %s}\n"
+                 \"outcome\": %S, \"runs\": %d%s, \"stats\": %s, \"gc\": %s}\n"
                 impl depth max_crashes outcome runs
                 (match source_string with
                 | None -> ""
                 | Some s -> Printf.sprintf ", \"store_source\": %S" s)
                 (Explore_stats.to_json e.Explore.stats)
+                gc
             end
             else begin
               (match e.Explore.outcome with
@@ -646,11 +681,12 @@ let live_explore_cmd =
           | _ -> Error (Printf.sprintf "unknown property %S" s)
         end
     in
-    match (factory, point) with
-    | Error e, _ | _, Error e ->
+    match (factory, point, open_store store) with
+    | Error e, _, _ | _, Error e, _ ->
         prerr_endline e;
         1
-    | Ok factory, Ok point ->
+    | _, _, Error e -> cli_error "%s" e
+    | Ok factory, Ok point, Ok st ->
         let invoke =
           Explore.workload_invoke
             (Slx_sim.Driver.forever (fun p -> Consensus_type.Propose (p - 1)))
@@ -659,14 +695,13 @@ let live_explore_cmd =
         let obs = make_obs ~trace ~progress ~progress_json in
         let cancel = install_sigint () in
         let run_engine () =
-          match store with
+          match st with
           | None ->
               ( Live_explore.search ~n ~factory ~invoke ~good ~point ~depth
                   ~max_crashes ?max_period ?pump_ticks ~invoke_order
                   ~dpor:(not no_dpor) ?proviso_bound ~sanitize ~obs ~cancel (),
                 None )
-          | Some path ->
-              let st = Vstore.open_ path in
+          | Some st ->
               let qid =
                 Persist.query_key ~ident:impl
                   ~check:("live:" ^ Format.asprintf "%a" Freedom.pp point)
@@ -688,6 +723,7 @@ let live_explore_cmd =
             write_trace obs trace;
             report_interrupt ~store ~stats
         | r, source ->
+        let gc = gc_json () in
         write_trace obs trace;
         let source_string =
           Option.map (Format.asprintf "%a" Persist.pp_source) source
@@ -722,12 +758,14 @@ let live_explore_cmd =
           in
           Printf.printf
             "{\"impl\": %S, \"property\": %S, \"n\": %d, \"depth\": %d, \
-             \"max_crashes\": %d, \"outcome\": %S%s%s, \"stats\": %s}\n"
+             \"max_crashes\": %d, \"outcome\": %S%s%s, \"stats\": %s, \
+             \"gc\": %s}\n"
             impl property_string n depth max_crashes outcome cert_json
             (match source_string with
             | None -> ""
             | Some s -> Printf.sprintf ", \"store_source\": %S" s)
             (Explore_stats.to_json r.Live_explore.stats)
+            gc
         end
         else begin
           (match r.Live_explore.outcome with
@@ -763,15 +801,6 @@ let live_explore_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* stats — replay a saved trace into histograms                        *)
-
-(* One structured error path for CLI file problems: a [slx]-prefixed
-   line on stderr and exit 2, whatever the flag that named the file. *)
-let cli_error fmt =
-  Printf.ksprintf
-    (fun s ->
-      Printf.eprintf "[slx] error: %s\n" s;
-      2)
-    fmt
 
 let stats_cmd =
   let trace_file_arg =
@@ -985,100 +1014,6 @@ let stats_cmd =
     Term.(const run $ store_file_arg $ trace_file_arg)
 
 (* ------------------------------------------------------------------ *)
-(* lint                                                                *)
-
-let lint_today () =
-  let tm = Unix.gmtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday
-
-let default_waiver_file = "lint-waivers.conf"
-
-(* Shared by [slx lint] and [slx audit --lint]: sweep, defaulting the
-   waiver file to the checked-in [lint-waivers.conf] when present. *)
-let run_lint ?root ?paths ?waivers ~ci () =
-  let module Lint = Slx_lint.Lint in
-  let rootdir = Option.value root ~default:"." in
-  let waiver_file =
-    match waivers with
-    | Some _ as w -> w
-    | None ->
-        if Sys.file_exists (Filename.concat rootdir default_waiver_file) then
-          Some default_waiver_file
-        else None
-  in
-  Lint.run ?root ?paths ?waiver_file ~today:(lint_today ())
-    ~strict_waivers:ci ()
-
-let lint_cmd =
-  let module Lint = Slx_lint.Lint in
-  let paths_arg =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"PATH"
-          ~doc:
-            "Files or directories to sweep, relative to --root (default: \
-             the model-code set: lib/objects, lib/consensus, lib/tm, \
-             lib/base_objects, examples, lib/analysis/fixtures.ml).")
-  in
-  let root_arg =
-    Arg.(
-      value & opt string "."
-      & info [ "root" ] ~docv:"DIR"
-          ~doc:"Resolve paths and the waiver file relative to $(docv).")
-  in
-  let waivers_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "waivers" ] ~docv:"FILE"
-          ~doc:
-            "The waiver file (default: lint-waivers.conf under --root \
-             when present).")
-  in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Emit the full report as one JSON object.")
-  in
-  let ci_arg =
-    Arg.(value & flag
-         & info [ "ci" ]
-             ~doc:"Gate on stale waivers too: an entry that matches no \
-                   finding becomes a warning instead of a note.")
-  in
-  let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "out"; "o" ] ~docv:"FILE"
-             ~doc:"Also write the report to this file.")
-  in
-  let run paths root waivers json ci out =
-    let paths = match paths with [] -> None | ps -> Some ps in
-    let rp = run_lint ~root ?paths ?waivers ~ci () in
-    let rendered =
-      if json then Lint.to_json rp ^ "\n"
-      else Format.asprintf "%a@." Lint.pp rp
-    in
-    print_string rendered;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc rendered;
-        close_out oc)
-      out;
-    if Lint.clean rp then 0 else 1
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Statically check model sources for escape, determinism and \
-          footprint violations: the conservative all-paths complement of \
-          the audit's exact explored-paths sanitizer.  Nonzero exit on \
-          any unwaived finding.")
-    Term.(
-      const run $ paths_arg $ root_arg $ waivers_arg $ json_arg $ ci_arg
-      $ out_arg)
-
-(* ------------------------------------------------------------------ *)
 (* audit                                                               *)
 
 let audit_cmd =
@@ -1125,13 +1060,7 @@ let audit_cmd =
     Arg.(value & opt (some string) None
          & info [ "out"; "o" ] ~doc:"Also write the report to this file.")
   in
-  let lint_arg =
-    Arg.(value & flag
-         & info [ "lint" ]
-             ~doc:"Also run the static lint sweep and fold its verdict \
-                   into the report and the exit code.")
-  in
-  let run json ci oracle depth group case fixtures out lint =
+  let run json ci oracle depth group case fixtures out =
     let pool =
       if fixtures then Registry.all () @ Registry.fixture_cases ()
       else Registry.all ()
@@ -1150,20 +1079,9 @@ let audit_cmd =
             List.map (fun c -> Audit.run_case ~bound ?depth ~oracle c) cases;
         }
       in
-      let lint_rp = if lint then Some (run_lint ~ci ()) else None in
       let rendered =
-        match lint_rp with
-        | None ->
-            if json then Audit.report_to_json rp ^ "\n"
-            else Format.asprintf "%a" Audit.pp_report rp
-        | Some lrp ->
-            if json then
-              Printf.sprintf "{\"audit\": %s,\n\"lint\": %s}\n"
-                (Audit.report_to_json rp)
-                (Slx_lint.Lint.to_json lrp)
-            else
-              Format.asprintf "%a@.--- lint ---@.%a@." Audit.pp_report rp
-                Slx_lint.Lint.pp lrp
+        if json then Audit.report_to_json rp ^ "\n"
+        else Format.asprintf "%a" Audit.pp_report rp
       in
       print_string rendered;
       Option.iter
@@ -1172,10 +1090,7 @@ let audit_cmd =
           output_string oc rendered;
           close_out oc)
         out;
-      let lint_clean =
-        match lint_rp with None -> true | Some l -> Slx_lint.Lint.clean l
-      in
-      if Audit.clean rp && lint_clean then 0 else 1
+      if Audit.clean rp then 0 else 1
     end
   in
   Cmd.v
@@ -1189,7 +1104,7 @@ let audit_cmd =
           violation.")
     Term.(
       const run $ json_arg $ ci_arg $ oracle_arg $ depth_arg $ group_arg
-      $ case_arg $ fixtures_arg $ out_arg $ lint_arg)
+      $ case_arg $ fixtures_arg $ out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve / query / worker                                              *)
@@ -1215,7 +1130,9 @@ let serve_cmd =
                    writer).")
   in
   let run host port workers store =
-    Slx_serve.Serve.main ~host ~port ~workers ~store ()
+    match Vstore.check_writable store with
+    | Error e -> cli_error "cannot use store %s: %s" store e
+    | Ok () -> Slx_serve.Serve.main ~host ~port ~workers ~store ()
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1356,6 +1273,6 @@ let () =
   in
   exit (Cmd.eval' (Cmd.group info
        [ figure1_cmd; game_cmd; tm_game_cmd; theorems_cmd; mutex_cmd;
-         explore_cmd; live_explore_cmd; stats_cmd; lint_cmd; audit_cmd;
+         explore_cmd; live_explore_cmd; stats_cmd; audit_cmd;
          serve_cmd;
          query_cmd; worker_cmd ]))

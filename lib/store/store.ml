@@ -427,13 +427,27 @@ let bump t event =
 
 let counters t = t.t_counters
 
+let tmp_path path = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ())
+
+let check_writable path =
+  if Sys.file_exists path && Sys.is_directory path then
+    Error (path ^ ": is a directory")
+  else
+    let tmp = tmp_path path in
+    match open_out_bin tmp with
+    | oc ->
+        close_out oc;
+        Sys.remove tmp;
+        Ok ()
+    | exception Sys_error e -> Error e
+
 let commit t =
   let b = Buffer.create 4096 in
   Buffer.add_string b magic;
   add_frame b (header_payload ~engine_version:t.t_engine_version);
   add_frame b (counters_payload t.t_counters);
   List.iter (fun r -> add_frame b (record_payload r)) (List.rev t.t_records);
-  let tmp = Printf.sprintf "%s.tmp.%d" t.t_path (Unix.getpid ()) in
+  let tmp = tmp_path t.t_path in
   let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)

@@ -131,6 +131,12 @@ val bump :
 
 val counters : t -> counters
 
+val check_writable : string -> (unit, string) result
+(** Whether {!commit} could publish a store at this path: create and
+    remove its temporary file beside [path].  [Error] carries the
+    system's message (a missing directory, a read-only one, or [path]
+    itself a directory), so a caller can refuse before doing work. *)
+
 val commit : t -> unit
 (** Publish the in-memory state: serialize the whole log to
     [path ^ ".tmp.<pid>"] and atomically rename it over [path]. *)

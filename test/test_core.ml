@@ -532,7 +532,8 @@ let test_explore_rejects_wide_systems () =
 let test_cli_engine_flags () =
   (* Each explorer has one engine configuration: the retired mode
      switches are usage errors (cmdliner exit 124), while the remaining
-     reduction and cache switches still run. *)
+     reduction and cache switches still run.  The linter moved to its
+     own executable, so [lint] and [audit --lint] are retired too. *)
   let slx args =
     Sys.command
       (Printf.sprintf "../bin/slx_cli.exe %s >/dev/null 2>&1" args)
@@ -550,6 +551,8 @@ let test_cli_engine_flags () =
       "live-explore --depth 4 --no-cache";
       "live-explore --depth 4 --cache-capacity 64";
       "live-explore --depth 4 --no-compact";
+      "lint";
+      "audit --lint";
     ];
   List.iter
     (fun args -> check_int (Printf.sprintf "slx %s runs" args) 0 (slx args))

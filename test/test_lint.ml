@@ -1,7 +1,8 @@
 (* The static soundness linter: rule families over parse-only fixture
    sources, waiver round-trips, the malformed-source path, the dogfood
-   sweep of the shipped tree, the static-vs-dynamic E26 pair, and the
-   normalized stats CLI error path. *)
+   sweep of the shipped tree, the static-vs-dynamic E26 pair, the lint
+   executable's exit codes, and the normalized stats and --store CLI
+   error paths. *)
 
 open Support
 module Lint = Slx_lint.Lint
@@ -214,18 +215,21 @@ let test_deep_leak_static_vs_dynamic () =
        static.Lint.findings)
 
 (* ------------------------------------------------------------------ *)
-(* The CLI: exit codes per fixture, and the normalized stats errors.   *)
+(* The CLIs: lint exit codes per fixture, and the normalized errors.  *)
 
 let slx args = Sys.command (Printf.sprintf "../bin/slx_cli.exe %s" args)
+
+let slx_lint args =
+  Sys.command (Printf.sprintf "../bin/slx_lint_cli.exe %s" args)
 
 let test_cli_exit_codes () =
   List.iter
     (fun f ->
       check_int
-        (Printf.sprintf "slx lint exits 1 on %s" f)
+        (Printf.sprintf "slx_lint_cli exits 1 on %s" f)
         1
-        (slx
-           (Printf.sprintf "lint --root %s %s >/dev/null 2>&1" fixture_root f)))
+        (slx_lint
+           (Printf.sprintf "--root %s %s >/dev/null 2>&1" fixture_root f)))
     [
       "bad_escape_global.ml"; "bad_escape_closure.ml"; "bad_det_random.ml";
       "bad_det_physeq.ml"; "bad_fp_undeclared.ml"; "bad_fp_write.ml";
@@ -234,37 +238,57 @@ let test_cli_exit_codes () =
   List.iter
     (fun f ->
       check_int
-        (Printf.sprintf "slx lint exits 0 on %s" f)
+        (Printf.sprintf "slx_lint_cli exits 0 on %s" f)
         0
-        (slx
-           (Printf.sprintf "lint --root %s %s >/dev/null 2>&1" fixture_root f)))
+        (slx_lint
+           (Printf.sprintf "--root %s %s >/dev/null 2>&1" fixture_root f)))
     [ "good_escape.ml"; "good_det.ml"; "good_fp.ml" ]
 
 let test_cli_ci_clean_on_shipped_tree () =
-  check_int "slx lint --ci is clean on the shipped tree" 0
-    (slx (Printf.sprintf "lint --ci --root %s >/dev/null 2>&1" repo_root))
+  check_int "slx_lint_cli --ci is clean on the shipped tree" 0
+    (slx_lint (Printf.sprintf "--ci --root %s >/dev/null 2>&1" repo_root))
+
+(* Run slx with these arguments; its exit code and stderr.  The
+   timeout turns a command that wrongly keeps running (a server that
+   should have refused to start) into a failure, not a hang. *)
+let slx_stderr args =
+  let err = Filename.temp_file "slx_stats" ".err" in
+  let rc =
+    Sys.command
+      (Printf.sprintf "timeout 30 ../bin/slx_cli.exe %s >/dev/null 2>%s" args
+         err)
+  in
+  let ic = open_in_bin err in
+  let contents = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove err;
+  (rc, contents)
+
+let check_structured_error args =
+  let rc, stderr_out = slx_stderr args in
+  check_int (args ^ " exits 2") 2 rc;
+  check_bool
+    (args ^ " reports through the structured error path")
+    true
+    (contains ~sub:"[slx] error:" stderr_out);
+  check_bool (args ^ " raises no uncaught Sys_error") false
+    (contains ~sub:"Sys_error" stderr_out)
 
 let test_stats_errors_normalized () =
-  let run args =
-    let err = Filename.temp_file "slx_stats" ".err" in
-    let rc = slx (Printf.sprintf "%s >/dev/null 2>%s" args err) in
-    let ic = open_in_bin err in
-    let contents = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove err;
-    (rc, contents)
-  in
-  let check_path args =
-    let rc, stderr_out = run args in
-    check_int (args ^ " exits 2") 2 rc;
-    check_bool
-      (args ^ " reports through the structured error path")
-      true
-      (contains ~sub:"[slx] error:" stderr_out)
-  in
-  check_path "stats --store /nonexistent/dir/store.slx";
-  check_path "stats --trace /nonexistent/dir/trace.json";
-  check_path "stats"
+  check_structured_error "stats --store /nonexistent/dir/store.slx";
+  check_structured_error "stats --trace /nonexistent/dir/trace.json";
+  check_structured_error "stats"
+
+(* A --store the run could not commit to fails before the search (or
+   before serving), not with an uncaught Sys_error after it. *)
+let test_store_errors_fail_closed () =
+  check_structured_error
+    "explore -i register --depth 8 --store /nonexistent/dir/s --json";
+  check_structured_error
+    "live-explore -i register --depth 8 --store /nonexistent/dir/s --json";
+  check_structured_error "explore -i register --depth 8 --store .";
+  check_structured_error
+    "serve --port 0 --workers 1 --store /nonexistent/dir/s"
 
 let suites =
   [
@@ -303,5 +327,7 @@ let suites =
           test_cli_ci_clean_on_shipped_tree;
         quick "stats errors share one structured path"
           test_stats_errors_normalized;
+        quick "explore/live-explore/serve fail closed on an unusable store"
+          test_store_errors_fail_closed;
       ] );
   ]

@@ -206,6 +206,23 @@ let test_engine_mismatch () =
     ((Store.health st').Store.h_invalidated = None
     && List.length (Store.records st') = 1)
 
+let test_check_writable () =
+  let path = temp_store () in
+  Sys.remove path;
+  check_bool "a fresh path in a writable directory is usable" true
+    (Store.check_writable path = Ok ());
+  check_bool "the probe leaves neither the store nor its temp file" false
+    (Sys.file_exists path
+    || Array.exists
+         (fun f ->
+           String.starts_with ~prefix:(Filename.basename path ^ ".tmp.") f)
+         (Sys.readdir (Filename.dirname path)));
+  let rejected p = Result.is_error (Store.check_writable p) in
+  check_bool "a missing directory is rejected" true
+    (rejected (Filename.concat path "s"));
+  check_bool "a directory is rejected" true
+    (rejected (Filename.dirname path))
+
 let test_qid_binds_flags () =
   let base ?dpor ?symmetry ?invoke_order ?proviso_bound
       ?(registry_digest = 99) () =
@@ -665,6 +682,8 @@ let suites =
         Alcotest.test_case "bad magic" `Quick test_bad_magic;
         Alcotest.test_case "engine version mismatch" `Quick
           test_engine_mismatch;
+        Alcotest.test_case "check_writable probes the commit path" `Quick
+          test_check_writable;
         Alcotest.test_case "qid binds flags and registry" `Quick
           test_qid_binds_flags;
         Alcotest.test_case "supersede and best_resumable" `Quick
